@@ -28,6 +28,18 @@ use xbound_core::memo::SubtreeMemo;
 use xbound_core::{summary, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem};
 use xbound_msp430::assemble;
 
+const USAGE: &str = "\
+usage: incremental_replay [OPTIONS] [BENCH...]
+
+Analyzes each benchmark cold and then warm against one subtree memo, and
+checks that the two bound reports are byte-identical.
+
+options:
+  --edit        also run the one-instruction edit scenario on tHold
+  --json PATH   write per-benchmark timings and memo counters as JSON
+  -h, --help    print this help
+";
+
 struct Row {
     name: &'static str,
     cold_s: f64,
@@ -41,14 +53,15 @@ fn main() {
     let mut names: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut edit = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    let mut args = xbound_bench::cli::Args::from_env("incremental_replay", USAGE);
+    while let Some(a) = args.next_arg() {
         match a.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json PATH")),
+            "--json" => json_path = Some(args.value("--json", "PATH")),
             "--edit" => edit = true,
-            other => names.push(other.to_string()),
+            _ => names.push(args.positional(a)),
         }
     }
+    args.check_benchmarks(&names);
 
     let sys = UlpSystem::openmsp430_class().unwrap();
     println!("gates: {}", sys.cpu().netlist().gate_count());
@@ -56,12 +69,6 @@ fn main() {
         .iter()
         .filter(|b| names.is_empty() || names.iter().any(|n| n == b.name()))
         .collect();
-    for n in &names {
-        assert!(
-            xbound_benchsuite::by_name(n).is_some(),
-            "unknown benchmark `{n}`"
-        );
-    }
 
     let mut rows: Vec<Row> = Vec::new();
     for b in &benches {

@@ -67,6 +67,28 @@ use xbound_core::{
     par, summary, BatchExploreStats, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem,
 };
 
+const USAGE: &str = "\
+usage: suite_summary [OPTIONS] [BENCH...]
+
+Runs the co-analysis over the benchmark suite (or the named benchmarks)
+and prints one summary line per benchmark.
+
+options:
+  --oracle              run on the full-levelized evaluation engine
+  --compiled            run on the compiled evaluation engine
+  --threads N           suite-level worker pool size (default: auto)
+  --validate N          validate each analysis against N random concrete runs
+  --lanes N             lane width of the batched validation runs
+  --explore-lanes N     lane width of batched symbolic exploration
+  --json PATH           write per-benchmark timings and bounds as JSON
+  --bounds PATH         write one canonical bounds line per benchmark
+  --incremental         attach a subtree memo (incremental re-analysis)
+  --sweep PATH          operating-point sweep; write the curves as JSON
+  --sweep-corners N     truncate the default corner grid to N corners
+  --trace PATH          record a Chrome trace of the run to PATH
+  -h, --help            print this help
+";
+
 struct Row {
     name: &'static str,
     line: String,
@@ -98,68 +120,40 @@ fn main() {
     let mut sweep_path: Option<String> = None;
     let mut sweep_corners = 0usize;
     let mut incremental = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    let mut args = xbound_bench::cli::Args::from_env("suite_summary", USAGE);
+    while let Some(a) = args.next_arg() {
         match a.as_str() {
             "--oracle" => std::env::set_var("XBOUND_SIM_ENGINE", "levelized"),
             "--compiled" => std::env::set_var("XBOUND_SIM_ENGINE", "compiled"),
             "--incremental" => incremental = true,
-            "--sweep" => sweep_path = Some(args.next().expect("--sweep PATH")),
-            "--sweep-corners" => {
-                sweep_corners = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sweep-corners N");
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads N");
-            }
-            "--lanes" => {
-                lanes = args.next().and_then(|v| v.parse().ok()).expect("--lanes N");
-            }
-            "--explore-lanes" => {
-                explore_lanes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--explore-lanes N");
-            }
-            "--validate" => {
-                validate_runs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--validate N");
-            }
-            "--json" => json_path = Some(args.next().expect("--json PATH")),
-            "--bounds" => bounds_path = Some(args.next().expect("--bounds PATH")),
+            "--sweep" => sweep_path = Some(args.value("--sweep", "PATH")),
+            "--sweep-corners" => sweep_corners = args.value("--sweep-corners", "N"),
+            "--threads" => threads = args.value("--threads", "N"),
+            "--lanes" => lanes = args.value("--lanes", "N"),
+            "--explore-lanes" => explore_lanes = args.value("--explore-lanes", "N"),
+            "--validate" => validate_runs = args.value("--validate", "N"),
+            "--json" => json_path = Some(args.value("--json", "PATH")),
+            "--bounds" => bounds_path = Some(args.value("--bounds", "PATH")),
             "--trace" => {
-                let path = args.next().expect("--trace PATH");
+                let path = args.value("--trace", "PATH");
                 xbound_obs::trace::enable();
                 trace_path = Some(path);
             }
-            other => names.push(other.to_string()),
+            _ => names.push(args.positional(a)),
         }
+    }
+    args.check_benchmarks(&names);
+    if sweep_path.is_some() && (validate_runs != 0 || incremental) {
+        args.fail("--sweep is not combinable with --validate/--incremental");
     }
     let benches: Vec<&'static xbound_benchsuite::Benchmark> = xbound_benchsuite::all()
         .iter()
         .filter(|b| names.is_empty() || names.iter().any(|n| n == b.name()))
         .collect();
-    for n in &names {
-        assert!(
-            xbound_benchsuite::by_name(n).is_some(),
-            "unknown benchmark `{n}`"
-        );
-    }
 
     let sys = UlpSystem::openmsp430_class().unwrap();
     println!("gates: {}", sys.cpu().netlist().gate_count());
     if let Some(curve_path) = sweep_path {
-        assert!(
-            validate_runs == 0 && !incremental,
-            "--sweep is not combinable with --validate/--incremental"
-        );
         sweep_mode(
             &sys,
             &benches,

@@ -8,6 +8,8 @@
 //! profiling campaign used by the input-based baselines, and text-table
 //! rendering.
 
+pub mod cli;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;

@@ -107,6 +107,11 @@ fn tracing_is_invisible_in_result_bytes_and_traces_are_well_formed() {
         "co_analysis",
         "explore",
         "peak_power_compose",
+        "peak_power.adjust",
+        "peak_power.stability",
+        "peak_power.assign",
+        "power.energy",
+        "peak_power.compose",
         "peak_energy",
     ] {
         assert!(names.contains(expected), "no `{expected}` span in trace");

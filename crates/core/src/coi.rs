@@ -4,12 +4,18 @@
 //! instruction** was in the machine (and in which pipeline phase) and the
 //! **per-module power breakdown**, identifying the culprit
 //! instruction/module pairs that software optimizations should target.
+//!
+//! The bound path of Algorithm 2 keeps per-cycle totals only, so the
+//! breakdown is recomputed on demand: the winning segment is re-assigned
+//! under the winning parity, and that one segment gets the full
+//! per-module power analysis.
 
-use crate::peak_power::PeakPowerResult;
+use crate::peak_power::{self, MaxTransitions, PeakPowerResult};
 use crate::tree::{ExecutionTree, SegmentId};
 use xbound_cpu::{Cpu, State};
 use xbound_logic::XWord;
 use xbound_msp430::isa::{decode, Instr};
+use xbound_power::PowerAnalyzer;
 
 /// One cycle of interest.
 #[derive(Debug, Clone)]
@@ -31,13 +37,20 @@ pub struct CycleOfInterest {
 }
 
 /// Finds the `k` highest-power cycles of the bound trace (at most one per
-/// distinct global cycle) and annotates them.
+/// distinct global cycle) and annotates them. `peak` must be the
+/// stability-refined bound of `tree` (as [`crate::CoAnalysis`] computes
+/// it), and `analyzer` bound to the library and clock it was computed
+/// under.
 pub fn cycles_of_interest(
     cpu: &Cpu,
+    analyzer: &PowerAnalyzer,
     tree: &ExecutionTree,
     peak: &PeakPowerResult,
     k: usize,
 ) -> Vec<CycleOfInterest> {
+    let nl = cpu.netlist();
+    let adjusted = peak_power::merge_adjusted_frames(tree);
+    let tr = MaxTransitions::build(nl, analyzer.library());
     let mut all: Vec<(f64, SegmentId, usize)> = Vec::new();
     for (si, seg) in tree.segments().iter().enumerate() {
         for ci in 0..seg.len() {
@@ -71,16 +84,21 @@ pub fn cycles_of_interest(
             .to_u16()
             .and_then(|w| decode(&[w, 0, 0], 0).ok())
             .map(|(i, _)| i);
-        // Module breakdown from the parity trace that produced this bound
-        // (the larger of the two assignments, matching the bound itself).
+        // Module breakdown of the parity assignment that produced this
+        // bound (the larger of the two, matching the bound itself),
+        // re-assigned and fully analyzed.
         let off = usize::from(tree.boundary_prev(sid).is_some());
         let et = &peak.even_traces[sid.index()];
         let ot = &peak.odd_traces[sid.index()];
-        let trace = if et.per_cycle_mw().get(ci + off) >= ot.per_cycle_mw().get(ci + off) {
-            et
-        } else {
-            ot
-        };
+        let even_wins = et.per_cycle_mw().get(ci + off) >= ot.per_cycle_mw().get(ci + off);
+        let (even, odd) = peak_power::assign_segment(nl, tree, &adjusted, sid.index(), &tr);
+        let (boundary, frames) = if even_wins { even } else { odd };
+        let trace = analyzer.analyze_with_boundary(boundary.as_ref(), &frames);
+        debug_assert_eq!(
+            trace.per_cycle_mw()[ci + off],
+            p,
+            "re-analysis reproduces the bound"
+        );
         let breakdown = trace.module_breakdown_at(ci + off);
         out.push(CycleOfInterest {
             segment: sid,

@@ -3,6 +3,8 @@
 //!
 //! * [`activity`] — Algorithm 1 (symbolic exploration → execution tree);
 //! * [`peak_power`] — Algorithm 2 (even/odd X assignment → per-cycle bound);
+//! * [`stability`] — Algorithm 2's stability rules as a flat op list,
+//!   evaluated one frame pair or 64 pairs at a time;
 //! * [`coi`] — cycles-of-interest: culprit instructions + module breakdown;
 //! * [`optimize`] — the three peak-power software optimizations (§5.1);
 //! * [`validate`] — toggle-superset and power-dominance checks (§3.4).
@@ -47,6 +49,7 @@ pub mod optimize;
 pub mod outdirs;
 pub mod par;
 pub mod peak_power;
+pub mod stability;
 pub mod summary;
 pub mod sweep;
 pub mod tree;
@@ -502,7 +505,8 @@ impl Analysis<'_> {
 
     /// Top-`k` cycles of interest (culprit instructions + breakdowns).
     pub fn cycles_of_interest(&self, k: usize) -> Vec<CycleOfInterest> {
-        cycles_of_interest(self.system.cpu(), &self.tree, &self.peak, k)
+        let analyzer = self.system.analyzer();
+        cycles_of_interest(self.system.cpu(), &analyzer, &self.tree, &self.peak, k)
     }
 
     /// Toggle-superset check against a concrete run (Fig 12).

@@ -15,10 +15,14 @@
 //! and interleaved into the per-cycle peak-power bound trace. The peak
 //! power requirement is the maximum of that trace (paper Fig 10 / §3.2).
 
+pub use crate::stability::StabilityOps;
+use crate::stability::{LaneScratch, CHUNK};
 use crate::tree::{ExecutionTree, SegmentEnd, SegmentId};
+use std::collections::VecDeque;
 use xbound_cells::CellLibrary;
-use xbound_logic::{Frame, Lv};
+use xbound_logic::Frame;
 use xbound_netlist::{NetId, Netlist};
+use xbound_obs::trace::{SpanGuard, StageSpans};
 use xbound_power::{EnergyTrace, PowerAnalyzer, PowerTrace};
 
 /// Cycle parity an assignment maximizes.
@@ -110,69 +114,21 @@ impl PeakPowerResult {
 pub fn stability(nl: &Netlist, prev: &Frame, cur: &Frame) -> Vec<bool> {
     let mut words = Vec::new();
     stability_words_into(nl, prev, cur, &mut words);
-    (0..nl.net_count()).map(|i| bit(&words, i)).collect()
+    (0..nl.net_count())
+        .map(|i| (words[i / 64] >> (i % 64)) & 1 == 1)
+        .collect()
 }
 
-#[inline]
-fn bit(words: &[u64], i: usize) -> bool {
-    (words[i / 64] >> (i % 64)) & 1 == 1
-}
-
-#[inline]
-fn set_bit(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1 << (i % 64);
-}
-
-/// Word-packed form of [`stability`] into a reusable bitset buffer — the
-/// per-cycle-pair kernel of Algorithm 2.
+/// Word-packed form of [`stability`] into a reusable bitset buffer: the
+/// single-pair reference of the stability analysis.
 ///
-/// The dominant rule ("concrete and equal in both frames") is computed for
-/// every net at once with word-wide bit math over the packed frames; the
-/// held-flip-flop and combinational-propagation rules then only examine
-/// gates whose output is not already proven stable.
+/// It compiles the netlist's [`StabilityOps`] and evaluates them for one
+/// pair ([`StabilityOps::pair_into`]). Algorithm 2 itself evaluates the
+/// same op list 64 pairs at a time ([`StabilityOps::chunk_into`]), so
+/// there is one rule set, and this function is what the bit-sliced kernel
+/// is checked against.
 pub fn stability_words_into(nl: &Netlist, prev: &Frame, cur: &Frame, stable: &mut Vec<u64>) {
-    // Base rule, all nets at once: known in both frames and equal. For
-    // primary inputs this is the complete rule; for gate outputs the
-    // remaining rules below can only add stability.
-    prev.known_equal_words_into(cur, stable);
-    // Sequential outputs: a flip-flop held by its enable keeps its stored
-    // value — stable even if that value is X.
-    for &g in nl.sequential_gates() {
-        let gate = nl.gate(g);
-        let out = gate.output().index();
-        if bit(stable, out) {
-            continue;
-        }
-        let v = |k: usize| prev.get(gate.inputs()[k].index());
-        let held = match gate.kind() {
-            xbound_netlist::CellKind::Dffe => v(1) == Lv::Zero,
-            xbound_netlist::CellKind::Dffre => v(1) == Lv::Zero && v(2) == Lv::One,
-            _ => false,
-        };
-        if held {
-            set_bit(stable, out);
-        }
-    }
-    // Combinational propagation in topological order: a gate whose inputs
-    // are all stable produces the same value (combinational determinism).
-    for &g in nl.topo_order() {
-        let gate = nl.gate(g);
-        let out = gate.output().index();
-        if bit(stable, out) {
-            continue;
-        }
-        let ok = if matches!(
-            gate.kind(),
-            xbound_netlist::CellKind::Tie0 | xbound_netlist::CellKind::Tie1
-        ) {
-            true
-        } else {
-            gate.kind().input_count() > 0 && gate.inputs().iter().all(|n| bit(stable, n.index()))
-        };
-        if ok {
-            set_bit(stable, out);
-        }
-    }
+    StabilityOps::build(nl).pair_into(prev, cur, stable);
 }
 
 /// Builds per-segment frame copies with **merge-boundary joins** applied:
@@ -210,38 +166,11 @@ pub fn assign_parity(
     parity: Parity,
 ) -> ParityAssignment {
     let adjusted = merge_adjusted_frames(tree);
-    assign_parity_with(nl, lib, tree, &adjusted, parity)
-}
-
-/// [`assign_parity`] over precomputed adjusted frames (shared between the
-/// even and odd assignments).
-pub fn assign_parity_with(
-    nl: &Netlist,
-    lib: &CellLibrary,
-    tree: &ExecutionTree,
-    adjusted: &[Vec<Frame>],
-    parity: Parity,
-) -> ParityAssignment {
-    assign_parity_opts(nl, lib, tree, adjusted, parity, true)
-}
-
-/// [`assign_parity_with`] with the stability analysis optionally disabled —
-/// used by the ablation experiment to quantify how much pessimism the
-/// stability rules remove (naive Algorithm 2 charges every X pair).
-pub fn assign_parity_opts(
-    nl: &Netlist,
-    lib: &CellLibrary,
-    tree: &ExecutionTree,
-    adjusted: &[Vec<Frame>],
-    parity: Parity,
-    use_stability: bool,
-) -> ParityAssignment {
-    let tr = MaxTransitions::build(nl, lib);
-    let mut st = AssignScratch::new(nl);
-    let segments = (0..tree.segments().len())
-        .map(|si| assign_segment(nl, tree, adjusted, si, parity, use_stability, &tr, &mut st))
-        .collect();
-    ParityAssignment { parity, segments }
+    let both = assign_tree(nl, tree, &adjusted, true, &MaxTransitions::build(nl, lib));
+    match parity {
+        Parity::Even => both.even,
+        Parity::Odd => both.odd,
+    }
 }
 
 /// Max transition (first, second) per net, by driver cell, packed as
@@ -284,85 +213,230 @@ impl MaxTransitions {
     }
 }
 
-/// Reusable per-tree scratch for the assignment kernel: the stability
-/// bitset and its all-zero stand-in for the ablation path.
-struct AssignScratch {
-    st: Vec<u64>,
-    no_stability: Vec<u64>,
-}
+/// The per-stage spans of one Algorithm 2 run (see
+/// [`xbound_obs::trace::StageSpans`]), indexed by the constants below.
+type Stages = StageSpans<5>;
+const STAGE_NAMES: [&str; 5] = [
+    "peak_power.adjust",
+    "peak_power.stability",
+    "peak_power.assign",
+    "power.energy",
+    "peak_power.compose",
+];
+const ADJUST: usize = 0;
+const STABILITY: usize = 1;
+const ASSIGN: usize = 2;
+const ENERGY: usize = 3;
+const COMPOSE: usize = 4;
 
-impl AssignScratch {
-    fn new(nl: &Netlist) -> AssignScratch {
-        AssignScratch {
-            st: Vec::new(),
-            no_stability: vec![0u64; nl.net_count().div_ceil(64)],
-        }
-    }
-}
+/// One segment's resolved frames for one parity: the boundary-previous
+/// frame (the parent's adjusted last frame, private copy) and the
+/// segment's frames.
+pub(crate) type SegmentFrames = (Option<Frame>, Vec<Frame>);
 
-/// The per-segment body of [`assign_parity_opts`]: resolves one segment's
-/// Xs for one parity. Depends only on the segment's adjusted frames, its
-/// parent's adjusted last frame, and the segment's start-cycle parity —
-/// which is what makes the segment-power composition cache of
-/// [`compute_peak_power_cached`] sound.
-#[allow(clippy::too_many_arguments)]
-fn assign_segment(
-    nl: &Netlist,
-    tree: &ExecutionTree,
-    adjusted: &[Vec<Frame>],
+/// A segment being assigned: both parities' frame copies, and how many
+/// of its X pairs still wait for their chunk.
+struct OpenSegment {
     si: usize,
+    even: SegmentFrames,
+    odd: SegmentFrames,
+    pending: usize,
+}
+
+impl OpenSegment {
+    fn parity_mut(&mut self, parity: Parity) -> &mut SegmentFrames {
+        match parity {
+            Parity::Even => &mut self.even,
+            Parity::Odd => &mut self.odd,
+        }
+    }
+}
+
+/// An X pair waiting for its chunk: its open segment (by sequence
+/// number), its cycle `ci` (the pair is `(ci − 1, ci)`, or `(boundary,
+/// 0)`), the parity it is assigned under, and the pre-assignment frames
+/// stability reads.
+struct PendingPair<'t> {
+    seq: usize,
+    ci: usize,
     parity: Parity,
-    use_stability: bool,
-    tr: &MaxTransitions,
-    scratch: &mut AssignScratch,
-) -> (Option<Frame>, Vec<Frame>) {
-    let seg = &tree.segments()[si];
-    // Boundary-previous frame: the parent's (adjusted) last frame.
-    let mut boundary = seg
-        .parent
-        .and_then(|(pid, _)| adjusted[pid.index()].last().cloned());
-    let orig = &adjusted[si];
-    let mut frames: Vec<Frame> = orig.clone();
-    for ci in 0..frames.len() {
-        let gc = seg.global_cycle(ci);
-        if !parity.matches(gc) || (ci == 0 && boundary.is_none()) {
-            continue;
-        }
-        // Stability is computed on the *pre-assignment* frames; a pair
-        // with no X anywhere needs neither stability nor resolution.
-        let orig_prev = if ci == 0 {
-            seg.parent
-                .and_then(|(pid, _)| adjusted[pid.index()].last())
-                .expect("boundary exists")
-        } else {
-            &orig[ci - 1]
-        };
-        if orig_prev.x_count() == 0 && orig[ci].x_count() == 0 {
-            continue;
-        }
-        let stable: &[u64] = if use_stability {
-            stability_words_into(nl, orig_prev, &orig[ci], &mut scratch.st);
-            &scratch.st
-        } else {
-            &scratch.no_stability
-        };
-        if ci == 0 {
-            let b = boundary.as_mut().expect("checked");
-            Frame::assign_x_pair(b, &mut frames[0], stable, &tr.first, &tr.second);
-        } else {
-            let (a, b) = frames.split_at_mut(ci);
-            Frame::assign_x_pair(&mut a[ci - 1], &mut b[0], stable, &tr.first, &tr.second);
+    frames: (&'t Frame, &'t Frame),
+}
+
+/// Resolves one X pair of `target` in place under a stability bitset.
+fn assign_pair(target: &mut SegmentFrames, ci: usize, stable: &[u64], tr: &MaxTransitions) {
+    let (boundary, frames) = target;
+    let (prev, cur) = if ci == 0 {
+        (boundary.as_mut().expect("boundary pair"), &mut frames[0])
+    } else {
+        let (a, b) = frames.split_at_mut(ci);
+        (&mut a[ci - 1], &mut b[0])
+    };
+    Frame::assign_x_pair(prev, cur, stable, &tr.first, &tr.second);
+}
+
+/// The X-assignment stream of Algorithm 2: segments go in, in order,
+/// and come out in the same order with both parity assignments resolved.
+///
+/// Stability depends only on the pre-assignment (adjusted) frames, so
+/// every X pair of a tree is independent. The assigner queues each
+/// segment's X pairs and evaluates their stability [`CHUNK`] pairs at a
+/// time with the bit-sliced kernel, packing pairs of consecutive segments
+/// into one chunk. A segment is handed on as soon as its last pair is
+/// assigned, so only the segments with pairs in the queue are held — at
+/// most one chunk's worth plus the one being queued.
+struct Assigner<'t, 'a> {
+    adjusted: &'t [Vec<Frame>],
+    ops: Option<&'a StabilityOps<'a>>,
+    tr: &'a MaxTransitions,
+    open: VecDeque<OpenSegment>,
+    /// Sequence number of `open.front()`.
+    first_seq: usize,
+    next_seq: usize,
+    queue: VecDeque<PendingPair<'t>>,
+    pairs: Vec<(&'t Frame, &'t Frame)>,
+    lanes: LaneScratch,
+    bits: Vec<u64>,
+}
+
+impl<'t, 'a> Assigner<'t, 'a> {
+    /// `ops` = `None` disables the stability rules: every bitset is
+    /// empty, so every X pair is charged (the ablation of
+    /// [`compute_peak_power_opts`]).
+    fn new(
+        adjusted: &'t [Vec<Frame>],
+        ops: Option<&'a StabilityOps<'a>>,
+        tr: &'a MaxTransitions,
+    ) -> Assigner<'t, 'a> {
+        Assigner {
+            adjusted,
+            ops,
+            tr,
+            open: VecDeque::new(),
+            first_seq: 0,
+            next_seq: 0,
+            queue: VecDeque::new(),
+            pairs: Vec::with_capacity(CHUNK),
+            lanes: LaneScratch::default(),
+            bits: Vec::new(),
         }
     }
-    // Leftover Xs (off-parity positions and cycle 0) hold 0: their
-    // cycles are discarded by the interleaving.
-    if let Some(b) = boundary.as_mut() {
-        b.resolve_x_to_zero();
+
+    /// Queues segment `si`, then assigns every full chunk and hands on
+    /// (to `emit`, as `(segment, even, odd)`) every segment that is done.
+    fn push(
+        &mut self,
+        tree: &ExecutionTree,
+        si: usize,
+        stages: &mut Stages,
+        emit: &mut impl FnMut(&mut Stages, usize, SegmentFrames, SegmentFrames),
+    ) {
+        let seg = &tree.segments()[si];
+        let adjusted = self.adjusted;
+        let boundary = seg.parent.and_then(|(pid, _)| adjusted[pid.index()].last());
+        let frames = &adjusted[si];
+        let copy = || (boundary.cloned(), frames.clone());
+        let mut os = stages.time(ASSIGN, || OpenSegment {
+            si,
+            even: copy(),
+            odd: copy(),
+            pending: 0,
+        });
+        // Pairs `(ci - 1, ci)`, led by `(boundary, 0)` when there is a
+        // parent; a pair with no X needs neither stability nor resolution.
+        let first_ci = usize::from(boundary.is_none());
+        let prevs = boundary.into_iter().chain(frames);
+        for (ci, pair) in (first_ci..).zip(prevs.zip(&frames[first_ci.min(frames.len())..])) {
+            if pair.0.x_count() == 0 && pair.1.x_count() == 0 {
+                continue;
+            }
+            let parity = if Parity::Even.matches(seg.global_cycle(ci)) {
+                Parity::Even
+            } else {
+                Parity::Odd
+            };
+            self.queue.push_back(PendingPair {
+                seq: self.next_seq,
+                ci,
+                parity,
+                frames: pair,
+            });
+            os.pending += 1;
+        }
+        self.open.push_back(os);
+        self.next_seq += 1;
+        while self.queue.len() >= CHUNK {
+            self.run_chunk(stages);
+        }
+        self.hand_on(stages, emit);
     }
-    for f in &mut frames {
-        f.resolve_x_to_zero();
+
+    /// Assigns the queue's remaining pairs and hands on every segment.
+    fn finish(
+        mut self,
+        stages: &mut Stages,
+        emit: &mut impl FnMut(&mut Stages, usize, SegmentFrames, SegmentFrames),
+    ) {
+        while !self.queue.is_empty() {
+            self.run_chunk(stages);
+        }
+        self.hand_on(stages, emit);
+        debug_assert!(self.open.is_empty(), "every segment handed on");
     }
-    (boundary, frames)
+
+    /// Stability for the first (up to) [`CHUNK`] queued pairs in one
+    /// kernel call, then their assignments.
+    fn run_chunk(&mut self, stages: &mut Stages) {
+        let n = self.queue.len().min(CHUNK);
+        let words = self.tr.first.len();
+        if let Some(ops) = self.ops {
+            self.pairs.clear();
+            self.pairs
+                .extend(self.queue.iter().take(n).map(|p| p.frames));
+            let (pairs, lanes, bits) = (&self.pairs, &mut self.lanes, &mut self.bits);
+            stages.time(STABILITY, || ops.chunk_into(pairs, lanes, bits));
+        } else {
+            self.bits.clear();
+            self.bits.resize(n * words, 0);
+        }
+        let (queue, open, bits, tr) = (&mut self.queue, &mut self.open, &self.bits, self.tr);
+        let first_seq = self.first_seq;
+        stages.time(ASSIGN, || {
+            for (k, p) in queue.drain(..n).enumerate() {
+                let os = &mut open[p.seq - first_seq];
+                assign_pair(
+                    os.parity_mut(p.parity),
+                    p.ci,
+                    &bits[k * words..(k + 1) * words],
+                    tr,
+                );
+                os.pending -= 1;
+            }
+        });
+    }
+
+    /// Hands on the leading segments whose pairs are all assigned.
+    /// Leftover Xs (off-parity positions and cycle 0) hold 0: their
+    /// cycles are discarded by the interleaving.
+    fn hand_on(
+        &mut self,
+        stages: &mut Stages,
+        emit: &mut impl FnMut(&mut Stages, usize, SegmentFrames, SegmentFrames),
+    ) {
+        while self.open.front().is_some_and(|os| os.pending == 0) {
+            let mut os = self.open.pop_front().expect("front exists");
+            self.first_seq += 1;
+            stages.time(ASSIGN, || {
+                for (boundary, frames) in [&mut os.even, &mut os.odd] {
+                    boundary
+                        .iter_mut()
+                        .chain(frames)
+                        .for_each(Frame::resolve_x_to_zero);
+                }
+            });
+            emit(stages, os.si, os.even, os.odd);
+        }
+    }
 }
 
 /// Both parity assignments of a whole tree — the discrete stage of
@@ -392,21 +466,54 @@ pub fn assign_tree(
     use_stability: bool,
     tr: &MaxTransitions,
 ) -> TreeAssignments {
-    let mut st = AssignScratch::new(nl);
-    let mut resolve = |parity| ParityAssignment {
-        parity,
-        segments: (0..tree.segments().len())
-            .map(|si| assign_segment(nl, tree, adjusted, si, parity, use_stability, tr, &mut st))
-            .collect(),
+    let mut stages = Stages::new(STAGE_NAMES);
+    let ops = use_stability.then(|| stages.time(ADJUST, || StabilityOps::build(nl)));
+    let n = tree.segments().len();
+    let mut even = Vec::with_capacity(n);
+    let mut odd = Vec::with_capacity(n);
+    let mut collect = |_: &mut Stages, _, e, o| {
+        even.push(e);
+        odd.push(o);
     };
+    let mut assigner = Assigner::new(adjusted, ops.as_ref(), tr);
+    for si in 0..n {
+        assigner.push(tree, si, &mut stages, &mut collect);
+    }
+    assigner.finish(&mut stages, &mut collect);
     TreeAssignments {
-        even: resolve(Parity::Even),
-        odd: resolve(Parity::Odd),
+        even: ParityAssignment {
+            parity: Parity::Even,
+            segments: even,
+        },
+        odd: ParityAssignment {
+            parity: Parity::Odd,
+            segments: odd,
+        },
     }
 }
 
+/// Both parity assignments of the single segment `si` (with stability):
+/// what the on-demand module breakdown of [`crate::coi`] re-analyzes.
+pub(crate) fn assign_segment(
+    nl: &Netlist,
+    tree: &ExecutionTree,
+    adjusted: &[Vec<Frame>],
+    si: usize,
+    tr: &MaxTransitions,
+) -> (SegmentFrames, SegmentFrames) {
+    let ops = StabilityOps::build(nl);
+    let mut stages = Stages::new(STAGE_NAMES);
+    let mut out = None;
+    let mut keep = |_: &mut Stages, _, e, o| out = Some((e, o));
+    let mut assigner = Assigner::new(adjusted, Some(&ops), tr);
+    assigner.push(tree, si, &mut stages, &mut keep);
+    assigner.finish(&mut stages, &mut keep);
+    out.expect("the segment is handed on")
+}
+
 /// Per-segment even/odd **energy** traces of one library — the gate-level
-/// stage of Algorithm 2, stopped before the clock enters.
+/// stage of Algorithm 2, stopped before the clock enters. Per-cycle
+/// totals only ([`EnergyTrace`]).
 ///
 /// Transition energies depend on the (possibly derated) library but not
 /// on the clock ([`EnergyTrace`]); a sweep runs this once per distinct
@@ -499,9 +606,12 @@ pub fn compute_peak_power_cached(
     use_stability: bool,
     cache: Option<(&crate::memo::SegmentPowerCache, u64)>,
 ) -> PeakPowerResult {
-    let adjusted = merge_adjusted_frames(tree);
-    let tr = MaxTransitions::build(nl, lib);
-    compute_peak_power_shared(
+    let _span = compose_span(lib, clock_hz, tree);
+    let mut stages = Stages::new(STAGE_NAMES);
+    let (tr, adjusted) = stages.time(ADJUST, || {
+        (MaxTransitions::build(nl, lib), merge_adjusted_frames(tree))
+    });
+    peak_power_staged(
         nl,
         lib,
         clock_hz,
@@ -510,6 +620,7 @@ pub fn compute_peak_power_cached(
         &tr,
         &adjusted,
         cache,
+        stages,
     )
 }
 
@@ -521,8 +632,8 @@ pub fn compute_peak_power_cached(
 /// depend only on the execution tree, and the table only on the library's
 /// per-cell energy *ordering* (preserved by voltage derating). A sweep
 /// therefore computes each once and fans this function out per corner;
-/// the single-corner entry points above delegate here after computing the
-/// same values, so the result is byte-identical either way.
+/// the single-corner entry points above run the same body after computing
+/// the same values, so the result is byte-identical either way.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_peak_power_shared(
     nl: &Netlist,
@@ -534,60 +645,98 @@ pub fn compute_peak_power_shared(
     adjusted: &[Vec<Frame>],
     cache: Option<(&crate::memo::SegmentPowerCache, u64)>,
 ) -> PeakPowerResult {
-    let _span = xbound_obs::trace::span_args("peak_power_compose", || {
+    let _span = compose_span(lib, clock_hz, tree);
+    let stages = Stages::new(STAGE_NAMES);
+    peak_power_staged(
+        nl,
+        lib,
+        clock_hz,
+        tree,
+        use_stability,
+        tr,
+        adjusted,
+        cache,
+        stages,
+    )
+}
+
+/// The `peak_power_compose` span around one Algorithm 2 run; its stages
+/// are child spans ([`Stages`]).
+fn compose_span(lib: &CellLibrary, clock_hz: f64, tree: &ExecutionTree) -> SpanGuard {
+    xbound_obs::trace::span_args("peak_power_compose", || {
         vec![
             ("library".to_string(), lib.name().to_string()),
             ("clock_hz".to_string(), format!("{clock_hz}")),
             ("segments".to_string(), tree.segments().len().to_string()),
         ]
-    });
-    let analyzer = PowerAnalyzer::new(nl, lib, clock_hz);
-    let mut scratch = AssignScratch::new(nl);
+    })
+}
+
+/// The one body of every single-corner Algorithm 2 entry point: cache
+/// lookups, the streamed stability and X-assignment of the missed
+/// segments, their per-cycle energy, and the composition, each timed
+/// into its stage span. `stages` drops (recording the spans) before the
+/// caller's parent span does.
+#[allow(clippy::too_many_arguments)]
+fn peak_power_staged(
+    nl: &Netlist,
+    lib: &CellLibrary,
+    clock_hz: f64,
+    tree: &ExecutionTree,
+    use_stability: bool,
+    tr: &MaxTransitions,
+    adjusted: &[Vec<Frame>],
+    cache: Option<(&crate::memo::SegmentPowerCache, u64)>,
+    mut stages: Stages,
+) -> PeakPowerResult {
     // `use_stability` is result-relevant: fold it into the cache context so
     // the ablation path can never stitch stability-refined traces.
     let cache = cache.map(|(c, ctx)| (c, ctx ^ if use_stability { 0 } else { 0x5354_4142 }));
-
-    let mut even_traces = Vec::with_capacity(tree.segments().len());
-    let mut odd_traces = Vec::with_capacity(tree.segments().len());
-    for (si, seg) in tree.segments().iter().enumerate() {
+    // A segment's cache key besides the context and its frames: start
+    // parity and boundary frame.
+    let key = |si: usize| {
+        let seg = &tree.segments()[si];
         let boundary = seg.parent.and_then(|(pid, _)| adjusted[pid.index()].last());
-        let odd_start = seg.start_cycle % 2 == 1;
+        (seg.start_cycle % 2 == 1, boundary)
+    };
+    let (ops, mut traces) = stages.time(ADJUST, || {
+        let ops = use_stability.then(|| StabilityOps::build(nl));
+        let traces: Vec<Option<(PowerTrace, PowerTrace)>> = (0..tree.segments().len())
+            .map(|si| {
+                let (c, ctx) = cache?;
+                let (odd_start, boundary) = key(si);
+                c.lookup(ctx, odd_start, boundary, &adjusted[si])
+            })
+            .collect();
+        (ops, traces)
+    });
+    let analyzer = PowerAnalyzer::new(nl, lib, clock_hz);
+    let misses: Vec<usize> = (0..traces.len())
+        .filter(|&si| traces[si].is_none())
+        .collect();
+    let mut record = |stages: &mut Stages, si: usize, even: SegmentFrames, odd: SegmentFrames| {
+        let energy = |(boundary, frames): &SegmentFrames| {
+            analyzer
+                .analyze_energy_with_boundary(boundary.as_ref(), frames)
+                .to_power_trace(&analyzer)
+        };
+        let (et, ot) = stages.time(ENERGY, || (energy(&even), energy(&odd)));
         if let Some((c, ctx)) = cache {
-            if let Some((e, o)) = c.lookup(ctx, odd_start, boundary, &adjusted[si]) {
-                even_traces.push(e);
-                odd_traces.push(o);
-                continue;
-            }
-        }
-        let ev = assign_segment(
-            nl,
-            tree,
-            adjusted,
-            si,
-            Parity::Even,
-            use_stability,
-            tr,
-            &mut scratch,
-        );
-        let od = assign_segment(
-            nl,
-            tree,
-            adjusted,
-            si,
-            Parity::Odd,
-            use_stability,
-            tr,
-            &mut scratch,
-        );
-        let et = analyzer.analyze_with_boundary(ev.0.as_ref(), &ev.1);
-        let ot = analyzer.analyze_with_boundary(od.0.as_ref(), &od.1);
-        if let Some((c, ctx)) = cache {
+            let (odd_start, boundary) = key(si);
             c.record(ctx, odd_start, boundary, &adjusted[si], &et, &ot);
         }
-        even_traces.push(et);
-        odd_traces.push(ot);
+        traces[si] = Some((et, ot));
+    };
+    let mut assigner = Assigner::new(adjusted, ops.as_ref(), tr);
+    for si in misses {
+        assigner.push(tree, si, &mut stages, &mut record);
     }
-    compose_bound(tree, even_traces, odd_traces)
+    assigner.finish(&mut stages, &mut record);
+    let (even_traces, odd_traces) = traces
+        .into_iter()
+        .map(|t| t.expect("every segment analyzed or replayed"))
+        .unzip();
+    stages.time(COMPOSE, || compose_bound(tree, even_traces, odd_traces))
 }
 
 /// Interleaves per-segment even/odd traces into the peak-power bound —
@@ -723,7 +872,7 @@ pub fn compute_peak_energy(
 mod tests {
     use super::*;
     use crate::tree::{ForkChoice, Segment};
-    use xbound_logic::Frame;
+    use xbound_logic::{Frame, Lv};
     use xbound_netlist::rtl::Rtl;
 
     /// A 3-net design standing in for the paper's Fig 10/3.2 example.
@@ -867,6 +1016,42 @@ mod tests {
         prev.set(en_net.index(), X);
         let st = stability(&nl, &prev, &cur);
         assert!(!st[q0.index()], "unknown enable is not stable");
+    }
+
+    #[test]
+    fn ablation_charges_what_stability_holds() {
+        use Lv::{One, Zero};
+        let mut r = Rtl::new("t");
+        let d = r.input("d", 4);
+        let en = r.input_bit("en");
+        let (h, q) = r.reg("held", 4);
+        r.reg_next_en(h, &d, en);
+        r.output("q", &q);
+        let nl = r.finish().expect("builds");
+        let net = |name: &str| nl.find_net(name).expect("net").index();
+        // Cycle 1 (odd): the register is held by `en = 0`, its value X.
+        let mut prev = Frame::new_all_x(nl.net_count());
+        prev.set(net("en"), Zero);
+        prev.set(net("rstn"), One);
+        let mut cur = prev.clone();
+        cur.set(net("en"), One);
+        let mut tree = ExecutionTree::new();
+        tree.push(Segment {
+            parent: None,
+            start_cycle: 0,
+            frames: vec![prev, cur],
+            end: SegmentEnd::Halt,
+        });
+        let adjusted = merge_adjusted_frames(&tree);
+        let tr = MaxTransitions::build(&nl, &xbound_cells::CellLibrary::ulp65());
+        let q0 = net("top/held_q[0]");
+        let toggles = |use_stability| {
+            let asg = assign_tree(&nl, &tree, &adjusted, use_stability, &tr);
+            let frames = &asg.odd.segments[0].1;
+            frames[0].get(q0) != frames[1].get(q0)
+        };
+        assert!(!toggles(true), "a held register is not charged");
+        assert!(toggles(false), "the ablation charges every X pair");
     }
 
     #[test]

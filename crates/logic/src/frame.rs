@@ -151,6 +151,14 @@ impl Frame {
         self.val.len()
     }
 
+    /// The packed bit-planes `(val, unk)`, [`Frame::word_count`] words
+    /// each: net `i` is bit `i % 64` of word `i / 64`; `unk` marks `X`, and
+    /// `val` is zero wherever `unk` is set and past [`Frame::len`].
+    #[inline]
+    pub fn words(&self) -> (&[u64], &[u64]) {
+        (&self.val, &self.unk)
+    }
+
     /// Fills `out` with one bit per net: set when the net is **known and
     /// equal** in both frames (the word-wise base case of the stability
     /// analysis). `out` is resized to [`Frame::word_count`] words.

@@ -317,6 +317,20 @@ impl fmt::Display for NetlistError {
 
 impl std::error::Error for NetlistError {}
 
+/// One combinational gate flattened for a tight evaluation loop over
+/// [`Netlist::comb_ops`]: the output net, the first `n` entries of `ins`
+/// (unused slots repeat the first input, or hold net 0 for a tie, which
+/// has none).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CombOp {
+    /// Output net.
+    pub out: NetId,
+    /// Input nets in pin order, padded to three.
+    pub ins: [NetId; 3],
+    /// Number of inputs (0 for the constant tie cells).
+    pub n: u8,
+}
+
 /// A flat gate-level netlist under construction or finalized.
 ///
 /// Build with [`Netlist::new`] + [`Netlist::add_gate`] (or the [`rtl`]
@@ -334,6 +348,7 @@ pub struct Netlist {
     name_set: HashMap<String, ()>,
     // Populated by finalize():
     topo: Vec<GateId>,
+    comb_ops: Vec<CombOp>,
     seq_gates: Vec<GateId>,
     fanout: Vec<Vec<GateId>>,
     fanout_comb: Vec<Vec<GateId>>,
@@ -356,6 +371,7 @@ impl Netlist {
             driver: Vec::new(),
             name_set: HashMap::new(),
             topo: Vec::new(),
+            comb_ops: Vec::new(),
             seq_gates: Vec::new(),
             fanout: Vec::new(),
             fanout_comb: Vec::new(),
@@ -633,6 +649,20 @@ impl Netlist {
             max_level = max_level.max(lvl);
         }
         self.level_count = if topo.is_empty() { 0 } else { max_level + 1 };
+        self.comb_ops = topo
+            .iter()
+            .map(|&g| {
+                let gate = &self.gates[g.index()];
+                let pad = gate.inputs().first().copied().unwrap_or(NetId(0));
+                let mut ins = [pad; 3];
+                ins[..gate.inputs().len()].copy_from_slice(gate.inputs());
+                CombOp {
+                    out: gate.output,
+                    ins,
+                    n: gate.input_len,
+                }
+            })
+            .collect();
         self.topo = topo;
         self.fanout = fanout;
         self.finalized = true;
@@ -652,6 +682,17 @@ impl Netlist {
     pub fn topo_order(&self) -> &[GateId] {
         assert!(self.finalized, "netlist not finalized");
         &self.topo
+    }
+
+    /// The gates of [`Netlist::topo_order`] as flat [`CombOp`]s, in the
+    /// same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has not been finalized.
+    pub fn comb_ops(&self) -> &[CombOp] {
+        assert!(self.finalized, "netlist not finalized");
+        &self.comb_ops
     }
 
     /// Sequential gates (flip-flops).

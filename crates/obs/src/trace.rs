@@ -210,6 +210,72 @@ pub fn span_args(
     }
 }
 
+/// Per-stage spans for a loop that interleaves its stages (a chunked
+/// kernel that alternates between, say, analysis and assignment): each
+/// [`StageSpans::time`] call adds to its stage's total, and on drop every
+/// stage with time recorded becomes **one** complete span. The spans are
+/// laid end to end from the moment the guard was created, in stage order:
+/// their durations are the measured totals, their placement is not the
+/// interleaving, which a per-stage split cannot show anyway.
+///
+/// When tracing is disabled at construction, `time` just runs its closure
+/// and drop records nothing.
+pub struct StageSpans<const N: usize> {
+    names: [&'static str; N],
+    /// Start and per-stage totals, nanoseconds; `None` when disabled.
+    live: Option<(u64, [u64; N])>,
+}
+
+impl<const N: usize> StageSpans<N> {
+    /// Starts timing the stages `names` (indexed by position).
+    #[inline]
+    pub fn new(names: [&'static str; N]) -> StageSpans<N> {
+        StageSpans {
+            names,
+            live: enabled().then(|| (now_ns(), [0; N])),
+        }
+    }
+
+    /// Runs `f`, adding its duration to stage `stage`.
+    #[inline]
+    pub fn time<R>(&mut self, stage: usize, f: impl FnOnce() -> R) -> R {
+        let Some((_, totals)) = &mut self.live else {
+            return f();
+        };
+        let t0 = now_ns();
+        let r = f();
+        totals[stage] += now_ns().saturating_sub(t0);
+        r
+    }
+}
+
+impl<const N: usize> Drop for StageSpans<N> {
+    fn drop(&mut self) {
+        let Some((mut start_ns, totals)) = self.live.take() else {
+            return;
+        };
+        let end_ns = now_ns();
+        with_local(|b| {
+            for (name, dur_ns) in self.names.iter().zip(totals) {
+                if dur_ns == 0 {
+                    continue;
+                }
+                // Clamped so the layout never outlasts the guard, and 1 ns
+                // apart so neighbours cannot read as overlapping once the
+                // timestamps are rendered in microseconds.
+                let dur_ns = dur_ns.min(end_ns.saturating_sub(start_ns));
+                b.push(Event {
+                    name,
+                    start_ns,
+                    phase: Phase::Span { dur_ns },
+                    args: String::new(),
+                });
+                start_ns += dur_ns + 1;
+            }
+        });
+    }
+}
+
 /// Records a point-in-time (`i`) event (steal, commit, wakeup).
 #[inline]
 pub fn instant(name: &'static str) {
@@ -397,6 +463,51 @@ mod tests {
         let ts = |e: &Json, k: &str| e.get(k).and_then(Json::as_f64).unwrap();
         assert!(ts(inner, "ts") >= ts(outer, "ts"));
         assert!(ts(inner, "ts") + ts(inner, "dur") <= ts(outer, "ts") + ts(outer, "dur") + 1e-3);
+    }
+
+    #[test]
+    fn stage_spans_lay_totals_end_to_end_inside_the_parent() {
+        enable();
+        {
+            let _outer = span("unit_stage_parent");
+            let mut stages = StageSpans::new(["unit_stage_a", "unit_stage_b", "unit_stage_c"]);
+            for _ in 0..3 {
+                stages.time(1, || std::hint::black_box(0));
+                stages.time(0, || {
+                    std::thread::sleep(std::time::Duration::from_micros(50))
+                });
+            }
+        }
+        let doc = chrome_trace_json();
+        let json = Json::parse(&doc).expect("chrome trace parses");
+        let events = json.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let find = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .map(|e| {
+                    let f = |k: &str| e.get(k).and_then(Json::as_f64).unwrap();
+                    (f("ts"), f("ts") + f("dur"))
+                })
+                .collect::<Vec<_>>()
+        };
+        let parent = find("unit_stage_parent");
+        let (a, b) = (find("unit_stage_a"), find("unit_stage_b"));
+        assert_eq!((parent.len(), a.len()), (1, 1), "one span per stage");
+        assert!(
+            find("unit_stage_c").is_empty(),
+            "an untimed stage records nothing"
+        );
+        assert!(a[0].1 - a[0].0 >= 0.150, "stage a holds its three sleeps");
+        assert!(b.len() <= 1);
+        if let Some(b) = b.first() {
+            assert!(
+                (b.0 - a[0].1 - 1e-3).abs() < 1e-6,
+                "stage b starts 1 ns after stage a"
+            );
+            assert!(b.1 <= parent[0].1 + 1e-6);
+        }
+        assert!(a[0].0 >= parent[0].0 && a[0].1 <= parent[0].1 + 1e-6);
     }
 
     #[test]

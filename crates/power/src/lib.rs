@@ -57,6 +57,11 @@ use xbound_logic::{BatchFrame, Frame, LaneVal};
 use xbound_netlist::{CellKind, Netlist};
 
 /// A per-cycle power trace produced by [`PowerAnalyzer::analyze`].
+///
+/// Traces converted from an [`EnergyTrace`] (the bound path of Algorithm
+/// 2) carry per-cycle totals only: their module table is empty, and a
+/// module breakdown is recomputed on demand by analyzing the frames of
+/// interest with [`PowerAnalyzer::analyze_with_boundary`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     per_cycle_mw: Vec<f64>,
@@ -72,7 +77,8 @@ impl PowerTrace {
         &self.per_cycle_mw
     }
 
-    /// Per-cycle per-module power, `[module][cycle]`, milliwatts.
+    /// Per-cycle per-module power, `[module][cycle]`, milliwatts (empty
+    /// for a per-cycle-only trace).
     pub fn per_module_mw(&self) -> &[Vec<f64>] {
         &self.per_module_mw
     }
@@ -145,7 +151,8 @@ impl PowerTrace {
         (doubles * 8 + names) as u64 + 64
     }
 
-    /// Per-module energy at one cycle, `(module name, mW)`, descending.
+    /// Per-module energy at one cycle, `(module name, mW)`, descending
+    /// (empty for a per-cycle-only trace).
     pub fn module_breakdown_at(&self, cycle: usize) -> Vec<(String, f64)> {
         let mut v: Vec<(String, f64)> = self
             .module_names
@@ -162,23 +169,20 @@ impl PowerTrace {
 /// for the clock distribution buffers of a placed-and-routed design.
 pub const CLOCK_TREE_FACTOR: f64 = 1.25;
 
-/// The clock-independent part of a power analysis: per-cycle and
-/// per-module **dynamic switching energy** in femtojoules.
+/// The clock-independent part of a power analysis: per-cycle **dynamic
+/// switching energy** in femtojoules.
 ///
 /// A [`PowerTrace`] is `floor + fj × (clock_hz × 1e-12)` per cycle — the
 /// transition accumulation itself never reads the clock. Capturing the
 /// femtojoule sums lets one gate-level analysis serve every clock of an
 /// operating-point sweep: [`EnergyTrace::to_power_trace`] applies exactly
 /// the float operations [`BatchPowerAccumulator::finish`] applies, so the
-/// converted trace is bit-identical to re-analyzing the same frames with
-/// an analyzer bound to that clock.
+/// converted per-cycle totals are bit-identical to re-analyzing the same
+/// frames with an analyzer bound to that clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyTrace {
     /// Per-cycle switching energy, femtojoules (cycle 0 is always 0).
     per_cycle_fj: Vec<f64>,
-    /// Per-module per-cycle switching energy, `[module][cycle]`,
-    /// femtojoules.
-    per_module_fj: Vec<Vec<f64>>,
 }
 
 impl EnergyTrace {
@@ -192,10 +196,11 @@ impl EnergyTrace {
         self.per_cycle_fj.len()
     }
 
-    /// Converts to the [`PowerTrace`] that `analyzer` would have produced
-    /// by analyzing the same frames directly — bit-identical, because
-    /// both paths compute `(leakage + clock) + fj × (clock_hz × 1e-12)`
-    /// per cycle with the same operations in the same order.
+    /// Converts to the per-cycle-only [`PowerTrace`] of `analyzer`'s clock:
+    /// its per-cycle totals are bit-identical to analyzing the same frames
+    /// directly, because both paths compute `(leakage + clock) + fj ×
+    /// (clock_hz × 1e-12)` per cycle with the same operations in the same
+    /// order.
     ///
     /// `analyzer` must be bound to the same netlist and library the
     /// energies were accumulated under; only its clock may differ.
@@ -208,12 +213,8 @@ impl EnergyTrace {
                 .iter()
                 .map(|&fj| floor + fj * fj_to_mw)
                 .collect(),
-            per_module_mw: self
-                .per_module_fj
-                .iter()
-                .map(|m| m.iter().map(|&fj| fj * fj_to_mw).collect())
-                .collect(),
-            module_names: analyzer.nl.modules().to_vec(),
+            per_module_mw: Vec::new(),
+            module_names: Vec::new(),
             clock_hz: analyzer.clock_hz,
             leakage_mw: analyzer.leakage_mw,
         }
@@ -228,6 +229,11 @@ pub struct PowerAnalyzer<'a> {
     clock_hz: f64,
     /// Per-gate (rise, fall, max) energies in femtojoules.
     energies: Vec<(f64, f64, f64)>,
+    /// The same energies keyed by the net each gate drives, ordered
+    /// `[fall, rise, max]` so a transition indexes its energy without a
+    /// branch; zero for primary inputs, whose toggles cost nothing
+    /// themselves.
+    net_energies: Vec<[f64; 3]>,
     leakage_mw: f64,
     clock_mw: f64,
 }
@@ -241,7 +247,7 @@ impl<'a> PowerAnalyzer<'a> {
     pub fn new(nl: &'a Netlist, lib: &'a CellLibrary, clock_hz: f64) -> PowerAnalyzer<'a> {
         assert!(clock_hz > 0.0, "clock must be positive");
         assert!(nl.is_finalized(), "netlist must be finalized");
-        let energies = nl
+        let energies: Vec<(f64, f64, f64)> = nl
             .gates()
             .iter()
             .map(|g| {
@@ -249,6 +255,10 @@ impl<'a> PowerAnalyzer<'a> {
                 (p.energy_rise_fj, p.energy_fall_fj, p.max_energy_fj())
             })
             .collect();
+        let mut net_energies = vec![[0.0; 3]; nl.net_count()];
+        for (g, &(rise, fall, max)) in nl.gates().iter().zip(&energies) {
+            net_energies[g.output().index()] = [fall, rise, max];
+        }
         let leakage_nw: f64 = nl
             .gates()
             .iter()
@@ -267,6 +277,7 @@ impl<'a> PowerAnalyzer<'a> {
             lib,
             clock_hz,
             energies,
+            net_energies,
             leakage_mw: leakage_nw * 1e-6,
             clock_mw: clock_fj * CLOCK_TREE_FACTOR * clock_hz * 1e-12,
         }
@@ -365,22 +376,48 @@ impl<'a> PowerAnalyzer<'a> {
         acc.finish(lane_cycles)
     }
 
-    /// [`PowerAnalyzer::analyze_with_boundary`], stopped at the
-    /// clock-independent femtojoule stage (see [`EnergyTrace`]). The full
-    /// trace is `energy.to_power_trace(analyzer)`; an operating-point
-    /// sweep accumulates once per library and converts once per clock.
+    /// The per-cycle totals of [`PowerAnalyzer::analyze_with_boundary`],
+    /// stopped at the clock-independent femtojoule stage (see
+    /// [`EnergyTrace`]) — the energy stage of Algorithm 2's bound path.
+    /// The trace's power is `energy.to_power_trace(analyzer)`; an
+    /// operating-point sweep accumulates once per library and converts
+    /// once per clock.
+    ///
+    /// Only per-cycle totals are kept, accumulated straight from the
+    /// per-net energy table: each changed net adds its rise, fall, or
+    /// (for an `X` endpoint) maximum energy in ascending net order — the
+    /// order and f64 operations of the full analysis, so the totals are
+    /// bit-identical to it.
     pub fn analyze_energy_with_boundary(
         &self,
         boundary: Option<&Frame>,
         frames: &[Frame],
     ) -> EnergyTrace {
-        let mut acc = self.batch_accumulator(1);
+        let mut per_cycle_fj = Vec::with_capacity(frames.len() + 1);
         let mut prev: Option<&Frame> = None;
         for cur in boundary.into_iter().chain(frames) {
-            acc.push_scalar_pair(prev, cur);
+            let mut fj = 0.0f64;
+            if let Some(prev) = prev {
+                assert_eq!(prev.len(), cur.len(), "frame length mismatch");
+                let ((pv, pu), (cv, cu)) = (prev.words(), cur.words());
+                for w in 0..pv.len() {
+                    let mut changed = (pv[w] ^ cv[w]) | (pu[w] ^ cu[w]);
+                    let known = !pu[w] & !cu[w];
+                    while changed != 0 {
+                        let b = changed.trailing_zeros();
+                        // Known: fall (0) or rise (1) by the new value;
+                        // an X endpoint: max (2).
+                        let k = (known >> b) & 1;
+                        let class = (k & (cv[w] >> b)) | ((k ^ 1) << 1);
+                        fj += self.net_energies[w * 64 + b as usize][class as usize];
+                        changed &= changed - 1;
+                    }
+                }
+            }
+            per_cycle_fj.push(fj);
             prev = Some(cur);
         }
-        acc.finish_energy(None).pop().expect("one lane")
+        EnergyTrace { per_cycle_fj }
     }
 
     /// Creates a streaming accumulator for batched per-lane power
@@ -429,10 +466,8 @@ impl<'a> PowerAnalyzer<'a> {
 /// f64 operations of the scalar [`PowerAnalyzer::analyze`], so the
 /// finished traces are bit-identical to per-lane scalar analysis.
 ///
-/// Internally the accumulation is pure femtojoules ([`EnergyTrace`]
-/// layout); the clock enters only in [`BatchPowerAccumulator::finish`]'s
-/// conversion, which is what makes one accumulation reusable across every
-/// clock of a sweep.
+/// Internally the accumulation is pure femtojoules; the clock enters only
+/// in [`BatchPowerAccumulator::finish`]'s conversion.
 #[derive(Debug, Clone)]
 pub struct BatchPowerAccumulator<'a> {
     analyzer: &'a PowerAnalyzer<'a>,
@@ -581,35 +616,19 @@ impl BatchPowerAccumulator<'_> {
         }
     }
 
-    /// Finishes into one [`PowerTrace`] per lane. `lane_cycles`
-    /// optionally truncates each lane's trace to its first
+    /// Finishes into one [`PowerTrace`] per lane, module table included.
+    /// `lane_cycles` optionally truncates each lane's trace to its first
     /// `lane_cycles[l]` cycles (see [`PowerAnalyzer::analyze_batch`]).
     ///
-    /// Delegates to [`BatchPowerAccumulator::finish_energy`] +
-    /// [`EnergyTrace::to_power_trace`], so the milliwatt trace and an
-    /// energy trace converted later at the same clock cannot diverge.
+    /// The per-cycle conversion is [`EnergyTrace::to_power_trace`]'s, so
+    /// the milliwatt totals and an energy trace converted later at the
+    /// same clock cannot diverge.
     ///
     /// # Panics
     ///
     /// Panics if `lane_cycles` has the wrong arity or exceeds the number
     /// of pushed cycles.
     pub fn finish(self, lane_cycles: Option<&[usize]>) -> Vec<PowerTrace> {
-        let analyzer = self.analyzer;
-        self.finish_energy(lane_cycles)
-            .into_iter()
-            .map(|e| e.to_power_trace(analyzer))
-            .collect()
-    }
-
-    /// Finishes into one clock-independent [`EnergyTrace`] per lane (the
-    /// femtojoule stage of [`BatchPowerAccumulator::finish`]); convert
-    /// with [`EnergyTrace::to_power_trace`] once per clock of interest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane_cycles` has the wrong arity or exceeds the number
-    /// of pushed cycles.
-    pub fn finish_energy(self, lane_cycles: Option<&[usize]>) -> Vec<EnergyTrace> {
         let pushed = self.cycles();
         let full = vec![pushed; self.lanes];
         let lane_cycles = lane_cycles.unwrap_or(&full);
@@ -617,19 +636,21 @@ impl BatchPowerAccumulator<'_> {
         for &n in lane_cycles {
             assert!(n <= pushed, "lane cycle count exceeds pushed cycles");
         }
+        let analyzer = self.analyzer;
+        let fj_to_mw = analyzer.clock_hz * 1e-12;
         self.per_cycle_fj
             .into_iter()
             .zip(self.per_module_fj)
             .zip(lane_cycles)
-            .map(|((mut pc, mut pm), &n)| {
-                pc.truncate(n);
-                for m in pm.iter_mut() {
-                    m.truncate(n);
-                }
-                EnergyTrace {
-                    per_cycle_fj: pc,
-                    per_module_fj: pm,
-                }
+            .map(|((mut per_cycle_fj, pm), &n)| {
+                per_cycle_fj.truncate(n);
+                let mut trace = EnergyTrace { per_cycle_fj }.to_power_trace(analyzer);
+                trace.per_module_mw = pm
+                    .iter()
+                    .map(|m| m[..n].iter().map(|&fj| fj * fj_to_mw).collect())
+                    .collect();
+                trace.module_names = analyzer.nl.modules().to_vec();
+                trace
             })
             .collect()
     }
@@ -779,6 +800,33 @@ mod tests {
         let dyn_mw = t.per_cycle_mw()[1] - an.floor_mw();
         let exp = lib.max_transition_energy_fj(CellKind::Inv) * 1.0e6 * 1e-12;
         assert!((dyn_mw - exp).abs() < 1e-12);
+    }
+
+    #[test]
+    fn per_cycle_energy_is_bit_identical_to_the_full_analysis() {
+        let (nl, mut frames) = counter_frames(24);
+        // X endpoints too: X -> known and known -> X transitions.
+        for (c, f) in frames.iter_mut().enumerate() {
+            for i in (c % 3..nl.net_count()).step_by(7) {
+                f.set(i, Lv::X);
+            }
+        }
+        let lib = CellLibrary::ulp65();
+        let a = PowerAnalyzer::new(&nl, &lib, 25.0e6);
+        let (boundary, rest) = frames.split_first().unwrap();
+        for b in [None, Some(boundary)] {
+            let full = a.analyze_with_boundary(b, rest);
+            let energy = a.analyze_energy_with_boundary(b, rest);
+            let fast = energy.to_power_trace(&a);
+            assert_eq!(energy.cycles(), full.cycles());
+            assert_eq!(
+                fast.per_cycle_mw(),
+                full.per_cycle_mw(),
+                "bit-identical totals"
+            );
+            assert!(fast.per_module_mw().is_empty() && fast.module_breakdown_at(3).is_empty());
+            assert!(!full.per_module_mw().is_empty());
+        }
     }
 
     #[test]
