@@ -121,13 +121,11 @@ fn bench_batch_vs_scalar_sim(c: &mut Criterion) {
     g.finish();
 }
 
-/// Event-driven vs levelized vs compiled engine throughput on the same
-/// concrete tea8 run (identical frames — see
-/// `crates/sim/tests/differential.rs` and
-/// `crates/bench/tests/compiled_differential.rs`). One simulator per
-/// engine is built and program-loaded outside the timing loop and rewound
-/// by snapshot restore each iteration, so the numbers isolate the settle
-/// kernels: throughput is counted in gate-passes (cycles × comb gates,
+/// Event-driven vs levelized engine throughput on the same concrete tea8
+/// run (identical frames — see `crates/sim/tests/differential.rs`). One
+/// simulator per engine is built and program-loaded outside the timing
+/// loop and rewound by snapshot restore each iteration, so the numbers
+/// isolate the settle kernels: throughput is counted in gate-passes (cycles × comb gates,
 /// × 1 whichever lane width, since one pass covers all lanes word-wise).
 /// These are the `ns/gate-pass` rows recorded in `BENCH_sim.json`.
 fn bench_engine_comparison(c: &mut Criterion) {
@@ -145,7 +143,6 @@ fn bench_engine_comparison(c: &mut Criterion) {
     let modes = [
         ("event_driven", EvalMode::EventDriven),
         ("levelized", EvalMode::Levelized),
-        ("compiled", EvalMode::Compiled),
     ];
 
     let mut g = c.benchmark_group("engine_concrete_simulation");

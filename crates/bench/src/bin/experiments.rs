@@ -13,12 +13,14 @@
 //! * `--ga-pop N` — stressmark GA population per generation (default 16);
 //! * `--lanes N` — concrete batch lane width (sets `XBOUND_LANES`;
 //!   results are bit-identical at any width);
-//! * `--explore-lanes N` — symbolic-exploration lane width (sets
-//!   `XBOUND_EXPLORE_LANES`; results are bit-identical at any width);
 //! * `--incremental` — attach a subtree memo (sets `XBOUND_MEMO=1`
 //!   unless the variable is already set): repeat runs replay memoized
 //!   execution subtrees from the shared cache directory. Results are
 //!   byte-identical with or without it.
+//!
+//! `--help` prints the usage and the experiment ids; an unknown flag or
+//! id, or a missing or unparsable value, prints one line to stderr and
+//! exits 2 before any experiment runs.
 //!
 //! Each experiment prints its table and writes `results/<id>.txt`. See
 //! DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
@@ -34,28 +36,47 @@ use xbound_logic::Lv;
 use xbound_msp430::assemble;
 use xbound_netlist::{CellKind, Netlist};
 
+/// Every experiment `all` runs, in order.
+const ALL: &[&str] = &[
+    "tab1_1", "tab1_2", "fig1_5", "fig2_2", "fig2_3", "fig3_2", "fig3_3", "fig3_4", "fig3_5",
+    "fig3_6", "fig4_1", "fig5_1", "fig5_2", "tab5_1", "tab5_2", "fig5_4", "fig5_5", "fig5_6",
+    "tab6_1",
+];
+
+/// Experiments only run when named.
+const EXTRA: &[&str] = &["ablation", "ga_smoke"];
+
+const USAGE: &str = "\
+usage: experiments [OPTIONS] [ID...]
+
+Regenerates the paper's tables and figures (all of them when no ID, or
+`all`, is given) and writes results/<id>.txt per experiment.
+
+options:
+  --profile-runs N      random input sets per profiling campaign (default 8)
+  --ga-pop N            stressmark GA population per generation (default 16)
+  --lanes N             concrete batch lane width (sets XBOUND_LANES)
+  --incremental         attach a subtree memo (sets XBOUND_MEMO=1 if unset)
+  -h, --help            print this help
+
+ids: all tab1_1 tab1_2 fig1_5 fig2_2 fig2_3 fig3_2 fig3_3 fig3_4 fig3_5
+     fig3_6 fig4_1 fig5_1 fig5_2 tab5_1 tab5_2 fig5_4 fig5_5 fig5_6
+     tab6_1 ablation ga_smoke
+";
+
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut args: Vec<String> = Vec::new();
-    let mut it = raw.into_iter();
-    while let Some(a) = it.next() {
-        let flag_value = |it: &mut std::vec::IntoIter<String>, flag: &str| -> usize {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} N"))
-        };
+    let mut ids: Vec<String> = Vec::new();
+    let mut args = xbound_bench::cli::Args::from_env("experiments", USAGE);
+    while let Some(a) = args.next_arg() {
         match a.as_str() {
             "--profile-runs" => {
-                xbound_bench::set_profile_runs(flag_value(&mut it, "--profile-runs"))
+                xbound_bench::set_profile_runs(args.value("--profile-runs", "N"));
             }
-            "--ga-pop" => xbound_bench::set_ga_population(flag_value(&mut it, "--ga-pop")),
+            "--ga-pop" => xbound_bench::set_ga_population(args.value("--ga-pop", "N")),
             "--lanes" => {
-                std::env::set_var("XBOUND_LANES", flag_value(&mut it, "--lanes").to_string())
+                let lanes: usize = args.value("--lanes", "N");
+                std::env::set_var("XBOUND_LANES", lanes.to_string());
             }
-            "--explore-lanes" => std::env::set_var(
-                "XBOUND_EXPLORE_LANES",
-                flag_value(&mut it, "--explore-lanes").to_string(),
-            ),
             // Subtree memo for incremental re-analysis (results are
             // byte-identical; repeat invocations replay from the shared
             // cache directory). `XBOUND_MEMO` set explicitly wins.
@@ -64,17 +85,20 @@ fn main() {
                     std::env::set_var("XBOUND_MEMO", "1");
                 }
             }
-            _ => args.push(a),
+            _ => {
+                let id = args.positional(a);
+                if id != "all" && !ALL.contains(&id.as_str()) && !EXTRA.contains(&id.as_str()) {
+                    args.fail(&format!("unknown experiment id `{id}` (see --help)"));
+                }
+                ids.push(id);
+            }
         }
     }
-    let mut ids: Vec<&str> = args.iter().map(String::as_str).collect();
-    if ids.is_empty() || ids.contains(&"all") {
-        ids = vec![
-            "tab1_1", "tab1_2", "fig1_5", "fig2_2", "fig2_3", "fig3_2", "fig3_3", "fig3_4",
-            "fig3_5", "fig3_6", "fig4_1", "fig5_1", "fig5_2", "tab5_1", "tab5_2", "fig5_4",
-            "fig5_5", "fig5_6", "tab6_1",
-        ];
-    }
+    let ids: Vec<&str> = if ids.is_empty() || ids.iter().any(|id| id == "all") {
+        ALL.to_vec()
+    } else {
+        ids.iter().map(String::as_str).collect()
+    };
     let mut h = Harness::new().expect("core builds");
     // Shared across fig5_1/fig5_2/tab5_1/tab5_2.
     let mut comparison: Option<ComparisonData> = None;
@@ -115,10 +139,7 @@ fn main() {
             "tab6_1" => tab6_1(),
             "ablation" => ablation(&mut h),
             "ga_smoke" => ga_smoke(&mut h),
-            other => {
-                ran.pop();
-                xbound_obs::error!("experiments", "unknown experiment id `{other}`");
-            }
+            other => unreachable!("experiment id `{other}` passed validation"),
         }
     }
     write_manifest(&ran);
@@ -764,12 +785,7 @@ fn fig5_4_5_6(h: &mut Harness, overheads: bool) {
                 iss_inputs: inputs,
                 ..OptimizeOptions::default()
             };
-            // One layer of parallelism at a time: benchmarks already fan out
-            // here, so each optimizer run explores single-threaded.
-            let config = xbound_core::ExploreConfig {
-                threads: 1,
-                ..Harness::explore_config(bench)
-            };
+            let config = Harness::explore_config(bench);
             optimize_program(&sys, bench.source(), config, bench.energy_rounds(), &opts)
                 .expect("optimizer runs")
         },

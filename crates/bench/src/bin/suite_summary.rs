@@ -20,15 +20,10 @@
 //!   `val=` column. Reports are identical at any lane width/thread count.
 //! * `--lanes N` — lane width for the batched validation runs (default:
 //!   auto, see `XBOUND_LANES`; clamped to 1..=64).
-//! * `--explore-lanes N` — lane width for batched symbolic exploration:
-//!   how many pending execution-tree branches share one gate pass
-//!   (default: auto, see `XBOUND_EXPLORE_LANES`). Result columns are
-//!   byte-identical at any width; only timings and the occupancy
-//!   telemetry change.
 //! * `--json PATH` — additionally write per-benchmark wall-clock numbers
 //!   and bounds as JSON (via the shared `xbound_core::jsonout` writer),
 //!   with engine / thread-count / lane-width metadata plus the
-//!   exploration's lane-occupancy and speculative-waste counters, so
+//!   exploration's gate-pass and lane-occupancy counters, so
 //!   `BENCH_*.json` entries are self-describing.
 //! * `--bounds PATH` — write one canonical `{"name": ..., "bounds": ...}`
 //!   line per benchmark ([`xbound_core::summary::bounds_line`]); the
@@ -53,7 +48,7 @@
 //! * `--sweep-corners N` — truncate the default 8-corner grid to its
 //!   first `N` corners (the CI smoke runs 4).
 //! * `--trace PATH` — record a Chrome-trace of the run (exploration,
-//!   power composition, sweep stages, per-worker scheduling events) and
+//!   power composition, sweep stages, fork and commit events) and
 //!   write it to PATH at exit; load it at `chrome://tracing` or
 //!   <https://ui.perfetto.dev>. `XBOUND_TRACE=PATH` is the environment
 //!   spelling. Tracing never changes result bytes — only timings.
@@ -75,11 +70,9 @@ and prints one summary line per benchmark.
 
 options:
   --oracle              run on the full-levelized evaluation engine
-  --compiled            run on the compiled evaluation engine
   --threads N           suite-level worker pool size (default: auto)
   --validate N          validate each analysis against N random concrete runs
   --lanes N             lane width of the batched validation runs
-  --explore-lanes N     lane width of batched symbolic exploration
   --json PATH           write per-benchmark timings and bounds as JSON
   --bounds PATH         write one canonical bounds line per benchmark
   --incremental         attach a subtree memo (incremental re-analysis)
@@ -113,7 +106,6 @@ fn main() {
     let mut names: Vec<String> = Vec::new();
     let mut threads = 0usize;
     let mut lanes = 0usize;
-    let mut explore_lanes = 0usize;
     let mut validate_runs = 0usize;
     let mut json_path: Option<String> = None;
     let mut bounds_path: Option<String> = None;
@@ -124,13 +116,11 @@ fn main() {
     while let Some(a) = args.next_arg() {
         match a.as_str() {
             "--oracle" => std::env::set_var("XBOUND_SIM_ENGINE", "levelized"),
-            "--compiled" => std::env::set_var("XBOUND_SIM_ENGINE", "compiled"),
             "--incremental" => incremental = true,
             "--sweep" => sweep_path = Some(args.value("--sweep", "PATH")),
             "--sweep-corners" => sweep_corners = args.value("--sweep-corners", "N"),
             "--threads" => threads = args.value("--threads", "N"),
             "--lanes" => lanes = args.value("--lanes", "N"),
-            "--explore-lanes" => explore_lanes = args.value("--explore-lanes", "N"),
             "--validate" => validate_runs = args.value("--validate", "N"),
             "--json" => json_path = Some(args.value("--json", "PATH")),
             "--bounds" => bounds_path = Some(args.value("--bounds", "PATH")),
@@ -160,7 +150,6 @@ fn main() {
             &curve_path,
             sweep_corners,
             threads,
-            explore_lanes,
             bounds_path.as_deref(),
         );
         write_trace(trace_path);
@@ -169,10 +158,6 @@ fn main() {
     let memo = xbound_core::memo::from_env(incremental);
     let suite_workers = par::resolve_threads(threads).min(benches.len().max(1));
     let lane_width = par::resolve_lanes(lanes);
-    let explore_lane_width = par::resolve_explore_lanes(explore_lanes);
-    // One layer of parallelism at a time: when benchmarks already fan out
-    // across the pool, each analysis explores single-threaded.
-    let explore_threads = if suite_workers > 1 { 1 } else { 0 };
     let t_suite = Instant::now();
     let rows = par::par_map_labeled(
         suite_workers,
@@ -184,8 +169,6 @@ fn main() {
             let r = CoAnalysis::new(&sys)
                 .config(ExploreConfig {
                     widen_threshold: b.widen_threshold(),
-                    threads: explore_threads,
-                    lanes: explore_lane_width,
                     ..ExploreConfig::suite_default()
                 })
                 .energy_rounds(b.energy_rounds())
@@ -248,10 +231,11 @@ fn main() {
     let total = t_suite.elapsed().as_secs_f64();
     let engine = xbound_core::sim_engine_name();
     println!(
-        "suite: {} benchmarks in {total:.3} s ({} suite worker{}, engine: {engine}, batch lanes: {lane_width}, explore lanes: {explore_lane_width})",
+        "suite: {} benchmarks in {total:.3} s ({} suite worker{}, engine: {engine}, batch lanes: {lane_width}, explore lanes: {})",
         rows.len(),
         suite_workers,
         if suite_workers == 1 { "" } else { "s" },
+        par::DEFAULT_EXPLORE_LANES,
     );
     if let Some(m) = &memo {
         let s = m.stats();
@@ -269,10 +253,9 @@ fn main() {
 
     if let Some(path) = json_path {
         // Self-describing metadata first, then the per-benchmark timings
-        // and bounds plus the exploration's lane-occupancy /
-        // speculative-waste telemetry (scheduling-dependent; the bounds
-        // themselves are byte-identical at any lane width or thread
-        // count). Emitted through the shared `jsonout` writer.
+        // and bounds plus the exploration's gate-pass / lane-occupancy
+        // telemetry (batching-dependent; the bounds themselves are
+        // byte-identical at any lane width or thread count). Emitted through the shared `jsonout` writer.
         let agg = rows.iter().filter_map(|r| r.explore.as_ref()).fold(
             xbound_core::BatchExploreStats::default(),
             |mut acc, b| {
@@ -288,29 +271,13 @@ fn main() {
         // The cached process-wide worker resolution for this run's
         // `--threads` knob (par::resolve_threads caches the auto path).
         w.field_u64("resolved_threads", par::resolve_threads(threads) as u64);
-        w.field_u64(
-            "explore_threads",
-            par::resolve_threads(explore_threads) as u64,
-        );
         w.field_u64("batch_lanes", lane_width as u64);
-        w.field_u64("explore_lanes", explore_lane_width as u64);
+        w.field_u64("explore_lanes", par::DEFAULT_EXPLORE_LANES as u64);
         w.field_u64("validate_runs", validate_runs as u64);
         w.field_u64("explore_gate_passes", agg.gate_passes);
         w.field_u64("explore_active_lane_cycles", agg.active_lane_cycles);
         w.field_u64("explore_idle_lane_cycles", agg.idle_lane_cycles);
         w.field_raw("explore_occupancy", &format!("{:.4}", agg.occupancy()));
-        // Work-stealing scheduler telemetry (scheduling-dependent, like
-        // the occupancy counters above).
-        w.field_u64("explore_steals", agg.steals);
-        w.field_u64("explore_steal_failures", agg.steal_failures);
-        w.field_u64("explore_idle_wakeups", agg.idle_wakeups);
-        w.field_u64("explore_max_speculation_depth", agg.max_speculation_depth);
-        w.key("explore_committed_cycles_per_worker");
-        w.begin_array();
-        for c in &agg.committed_cycles_per_worker {
-            w.u64_val(*c);
-        }
-        w.end_array();
         if let Some(m) = &memo {
             let s = m.stats();
             w.field_u64("memo_hits", s.hits);
@@ -327,8 +294,6 @@ fn main() {
             if let Some(b) = &row.explore {
                 w.field_u64("explore_gate_passes", b.gate_passes);
                 w.field_raw("explore_occupancy", &format!("{:.4}", b.occupancy()));
-                w.field_u64("explore_steals", b.steals);
-                w.field_u64("explore_max_speculation_depth", b.max_speculation_depth);
             }
             if let Some(bounds) = &row.bounds {
                 w.key("bounds");
@@ -392,7 +357,6 @@ fn sweep_mode(
     curve_path: &str,
     sweep_corners: usize,
     threads: usize,
-    explore_lanes: usize,
     bounds_path: Option<&str>,
 ) {
     use xbound_core::sweep::{run_sweep, SweepAnalysis, SweepSpec};
@@ -405,10 +369,8 @@ fn sweep_mode(
 
     let spec = SweepSpec::suite_default().truncated(sweep_corners);
     let suite_workers = par::resolve_threads(threads).min(benches.len().max(1));
-    let explore_lane_width = par::resolve_explore_lanes(explore_lanes);
     // One layer of parallelism at a time: when benchmarks already fan out
-    // across the pool, each sweep explores single-threaded and bounds its
-    // corners serially.
+    // across the pool, each sweep bounds its corners serially.
     let inner_threads = if suite_workers > 1 { 1 } else { 0 };
     let t_suite = Instant::now();
     let rows = par::par_map_labeled(
@@ -420,8 +382,6 @@ fn sweep_mode(
             let program = b.program().unwrap();
             let config = ExploreConfig {
                 widen_threshold: b.widen_threshold(),
-                threads: inner_threads,
-                lanes: explore_lane_width,
                 ..ExploreConfig::suite_default()
             };
             let result = run_sweep(
@@ -480,7 +440,7 @@ fn sweep_mode(
     w.begin_object();
     w.field_str("engine", engine);
     w.field_u64("threads", suite_workers as u64);
-    w.field_u64("explore_lanes", explore_lane_width as u64);
+    w.field_u64("explore_lanes", par::DEFAULT_EXPLORE_LANES as u64);
     w.key("corners");
     w.begin_array();
     for c in spec.corners() {

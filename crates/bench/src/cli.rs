@@ -1,6 +1,6 @@
 //! Command-line handling shared by the driver binaries: `--help` prints
-//! the usage and exits 0; a bad argument prints one line to stderr and
-//! exits 2 — never a panic or a backtrace.
+//! the usage and exits 0; a bad argument (or a bad `XBOUND_SIM_ENGINE`)
+//! prints one line to stderr and exits 2 — never a panic or a backtrace.
 
 use std::str::FromStr;
 
@@ -13,14 +13,19 @@ pub struct Args {
 
 impl Args {
     /// The process arguments (after the program name) of driver `bin`,
-    /// whose `usage` text `--help` prints.
+    /// whose `usage` text `--help` prints. Exits 2 right away when
+    /// `XBOUND_SIM_ENGINE` names no engine.
     pub fn from_env(bin: &'static str, usage: &'static str) -> Args {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Args {
+        let args = Args {
             bin,
             usage,
             rest: args.into_iter(),
+        };
+        if let Err(e) = xbound_core::check_sim_engine() {
+            args.fail(&e);
         }
+        args
     }
 
     /// The next argument. `--help` / `-h` print the usage and exit 0, so

@@ -8,31 +8,30 @@
 //! race that ordering.
 
 use xbound_core::jsonin::Json;
-use xbound_core::{summary, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem};
+use xbound_core::{par, summary, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem};
 
-/// Canonical full-suite bound lines at one `(threads, lanes)` setting —
-/// the exact bytes `suite_summary --bounds` writes.
+/// Canonical full-suite bound lines — the exact bytes `suite_summary
+/// --bounds` writes — with the suite fanned out over `threads` workers
+/// and each exploration batched `lanes` wide.
 fn suite_bounds(sys: &UlpSystem, threads: usize, lanes: usize) -> String {
-    let mut out = String::new();
-    for bench in xbound_benchsuite::all() {
-        let program = bench.program().expect("assembles");
-        let a = CoAnalysis::new(sys)
-            .config(ExploreConfig {
-                widen_threshold: bench.widen_threshold(),
-                threads,
-                lanes,
-                ..ExploreConfig::suite_default()
-            })
-            .energy_rounds(bench.energy_rounds())
-            .run(&program)
-            .expect("analyzes");
-        out.push_str(&summary::bounds_line(
-            bench.name(),
-            &BoundsReport::from_analysis(&a),
-        ));
-        out.push('\n');
-    }
-    out
+    let lines = par::par_map(
+        threads,
+        xbound_benchsuite::all().iter().collect(),
+        |_, bench| {
+            let program = bench.program().expect("assembles");
+            let a = CoAnalysis::new(sys)
+                .config(ExploreConfig {
+                    widen_threshold: bench.widen_threshold(),
+                    lanes,
+                    ..ExploreConfig::suite_default()
+                })
+                .energy_rounds(bench.energy_rounds())
+                .run(&program)
+                .expect("analyzes");
+            summary::bounds_line(bench.name(), &BoundsReport::from_analysis(&a)) + "\n"
+        },
+    );
+    lines.concat()
 }
 
 #[test]
@@ -116,11 +115,11 @@ fn tracing_is_invisible_in_result_bytes_and_traces_are_well_formed() {
     ] {
         assert!(names.contains(expected), "no `{expected}` span in trace");
     }
-    // The 3-thread runs ran the work-stealing pool: its workers must
-    // appear as labeled threads in the trace.
+    // The 3-thread runs fanned the suite out over the worker pool: its
+    // workers must appear as labeled threads in the trace.
     assert!(
-        labels.iter().any(|l| l.starts_with("explore-worker-")),
-        "no explore-worker thread label in {labels:?}"
+        labels.iter().any(|l| l.starts_with("xbound-par-")),
+        "no pool worker thread label in {labels:?}"
     );
 
     // Spans must nest properly per thread (sort by start, longest

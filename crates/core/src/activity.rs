@@ -30,62 +30,34 @@
 //! `branch_taken` forced per lane ([`xbound_sim::Engine::force_lane`]) —
 //! one per direction — while sibling lanes keep running.
 //!
-//! # Work-stealing parallel exploration and determinism
+//! # Determinism
 //!
-//! A pool of speculative workers (threads resolved via
-//! [`crate::par::resolve_threads`], like every other pool in the
-//! workspace) runs those batches concurrently under a **work-stealing
-//! region scheduler**: each worker owns a deque
-//! ([`crate::par::StealDeque`]) of pending DFS branches, pushes the forks
-//! it discovers locally (LIFO, so it keeps riding the cache-warm subtree
-//! it just simulated), and — when dry — steals the *oldest* entries from
-//! a victim's front: the shallowest-forked region in that deque, whose
-//! subtree is the largest, so one steal amortizes a whole `PathRunner`
-//! batch fill. A shared injector deque (queue 0) receives the branches
-//! the driver seeds at fork commits; victims are probed injector-first,
-//! then ring order ([`crate::par::victim_order`]). Workers **self-expand**:
-//! a speculatively simulated fork immediately becomes two new local
-//! branches without waiting for any commit, which is what keeps deep
-//! skinny trees (tHold, binSearch) from starving everyone behind the hot
-//! spine.
-//!
-//! The main thread still **commits results in strict depth-first order**.
-//! All order-sensitive bookkeeping — segment numbering, the memoization
-//! table, subsumption, widening, statistics — happens only at commit time
-//! on the main thread; finished speculative paths park in an out-of-order
-//! completion buffer keyed by their full starting [`MachineState`] and
-//! bounded by [`ExploreConfig::speculation_window`]. Since simulating a
-//! fork-free run is a pure function of its starting state, each branch's
-//! simulated path is the same whatever thread, batch, or steal brought it
-//! home, which makes the tree, the deterministic statistics, and every
-//! downstream peak-power table **bit-identical at any
-//! `(threads, lanes, steal order)` setting** (including `(1, 1)`, the
-//! historical scalar explorer). Subtree memoization short-circuits on
-//! both sides of the scheduler — the driver stitches verified replays
-//! into the local cache without ever seeding a task, and workers replay
-//! hits straight into the completion buffer instead of simulating.
-//! Speculation the commit loop retroactively invalidates (a widening or
-//! merge prunes the subtree a worker already expanded) is swept by a
-//! mark-and-sweep purge over the buffer and deques; a panic on such a
-//! never-committed branch is discarded with it, exactly as a
-//! single-threaded run would never have simulated that branch at all.
-//! Only the [`BatchExploreStats`] telemetry (gate passes, lane occupancy,
-//! steal counters, speculative waste) depends on how branches happened to
-//! be scheduled.
+//! The explorer is one sequential depth-first commit loop — Algorithm 1
+//! exactly. When it pops a pending branch that has not been simulated yet,
+//! it batches that branch with the next pending branches from the top of
+//! the DFS stack (the ones it will pop next) and simulates them together;
+//! their results wait in a local cache until their turn to commit. Since
+//! simulating a fork-free run is a pure function of its starting
+//! [`MachineState`], each branch's simulated path is the same whatever
+//! batch it rode in, which makes the tree, the deterministic statistics,
+//! and every downstream peak-power table **bit-identical at any lane
+//! width** (including 1, the historical scalar explorer). Subtree
+//! memoization stitches verified replays into the same cache, so a memo
+//! hit never occupies a lane. Only the [`BatchExploreStats`] telemetry
+//! (gate passes, lane occupancy) depends on the batching.
 
 use crate::memo::{self, SubtreeMemo};
 use crate::tree::{ExecutionTree, ForkChoice, Segment, SegmentEnd, SegmentId};
 use crate::AnalysisError;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use xbound_cpu::Cpu;
 use xbound_logic::{BatchFrame, Frame, LaneVal, Lv, XWord};
 use xbound_msp430::Program;
 use xbound_obs::{metrics, trace};
 use xbound_sim::{BatchSimulator, MachineState, MemRead, MemWrite, SimError};
 
-/// Global observability mirrors of the explorer's scheduling telemetry.
+/// Global observability mirrors of the explorer's batching telemetry.
 ///
 /// The deterministic stats pipeline ([`ExploreStats`]) stays the source
 /// of truth; these registry counters are fed once per exploration from
@@ -96,9 +68,6 @@ struct ExploreMetrics {
     explorations: metrics::Counter,
     gate_passes: metrics::Counter,
     committed_cycles: metrics::Counter,
-    steals: metrics::Counter,
-    steal_failures: metrics::Counter,
-    idle_wakeups: metrics::Counter,
     explore_us: metrics::Histogram,
 }
 
@@ -108,9 +77,6 @@ fn explore_metrics() -> &'static ExploreMetrics {
         explorations: metrics::counter("xbound_explore_runs_total"),
         gate_passes: metrics::counter("xbound_explore_gate_passes_total"),
         committed_cycles: metrics::counter("xbound_explore_committed_cycles_total"),
-        steals: metrics::counter("xbound_explore_steals_total"),
-        steal_failures: metrics::counter("xbound_explore_steal_failures_total"),
-        idle_wakeups: metrics::counter("xbound_explore_idle_wakeups_total"),
         explore_us: metrics::histogram("xbound_explore_duration_us"),
     })
 }
@@ -128,35 +94,12 @@ pub struct ExploreConfig {
     pub widen_threshold: u32,
     /// Reset cycles applied before execution starts.
     pub reset_cycles: u32,
-    /// Worker threads for speculative branch exploration. `0` (the
-    /// default) resolves via [`crate::par::resolve_threads`]; `1` disables
-    /// the pool. Results are identical at any setting.
-    pub threads: usize,
     /// Lane width for batched path simulation: how many pending
     /// execution-tree branches share one gate pass. `0` (the default)
-    /// resolves via [`crate::par::resolve_explore_lanes`]
-    /// (`XBOUND_EXPLORE_LANES`). Results are identical at any setting.
+    /// means [`crate::par::DEFAULT_EXPLORE_LANES`]. Results are identical
+    /// at any setting; kept so tests can run the 1-lane reference.
+    #[doc(hidden)]
     pub lanes: usize,
-    /// Bound on the work-stealing pool's out-of-order completion buffer:
-    /// how many speculative branch results (buffered or in flight) may
-    /// exist beyond the committed DFS frontier. `0` (the default)
-    /// resolves via [`crate::par::resolve_speculation_window`]
-    /// (`XBOUND_SPECULATION_WINDOW`). Results are identical at any
-    /// setting; the knob only caps speculative memory and wasted work.
-    /// Irrelevant at `threads <= 1` (no pool).
-    pub speculation_window: usize,
-    /// Test-only: seeds the victim-selection shuffle of the work-stealing
-    /// pool ([`crate::par::victim_order`]) so invariance tests can drive
-    /// many distinct steal interleavings reproducibly. `0` (the default)
-    /// is the production ring order. Results are identical at any seed.
-    #[doc(hidden)]
-    pub steal_seed: u64,
-    /// Test-only: when non-zero, whichever pool participant claims a
-    /// branch forked at exactly this depth panics — exercises the
-    /// panic-context plumbing (segment id, thief/victim worker ids).
-    /// Ignored at `threads <= 1` (no pool).
-    #[doc(hidden)]
-    pub test_panic_depth: u64,
 }
 
 impl Default for ExploreConfig {
@@ -166,11 +109,7 @@ impl Default for ExploreConfig {
             max_total_cycles: 2_000_000,
             widen_threshold: 4,
             reset_cycles: 2,
-            threads: 0,
             lanes: 0,
-            speculation_window: 0,
-            steal_seed: 0,
-            test_panic_depth: 0,
         }
     }
 }
@@ -189,15 +128,13 @@ impl ExploreConfig {
     }
 }
 
-/// Batched-exploration telemetry: lane occupancy, steal scheduling, and
-/// speculative waste.
+/// Batched-exploration telemetry: gate passes and lane occupancy.
 ///
 /// Unlike the deterministic fields of [`ExploreStats`], these counters
-/// describe **how** the work was scheduled, not what was explored: they
-/// vary with the lane width and (for everything except
-/// `active_lane_cycles`) with worker timing and steal interleavings at
-/// `threads > 1`. They are excluded from the bit-identity guarantee and
-/// from [`ExploreStats`] equality semantics used in differential tests
+/// describe **how** the work was batched, not what was explored: they
+/// vary with the lane width (everything except `active_lane_cycles`).
+/// They are excluded from the bit-identity guarantee and from
+/// [`ExploreStats`] equality semantics used in differential tests
 /// (compare [`ExploreStats::deterministic`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchExploreStats {
@@ -209,23 +146,8 @@ pub struct BatchExploreStats {
     /// every branch's simulated path length, including fork re-simulation).
     pub active_lane_cycles: u64,
     /// Lane-cycles where a lane was empty or already finished while the
-    /// batch kept stepping — the speculative-waste counter.
+    /// batch kept stepping.
     pub idle_lane_cycles: u64,
-    /// Successful steals: a worker claimed a batch from a deque it does
-    /// not own (the driver-seeded injector counts as victim 0).
-    pub steals: u64,
-    /// Victim probes that found an empty deque.
-    pub steal_failures: u64,
-    /// Times an idle or window-blocked worker woke up to re-check for
-    /// work or buffer space.
-    pub idle_wakeups: u64,
-    /// Deepest fork depth a worker simulated ahead of the committed DFS
-    /// frontier (how far speculation ran past the driver).
-    pub max_speculation_depth: u64,
-    /// Cycles committed to the tree per producing thread: index 0 is the
-    /// driver, index `w` the `w`-th speculative worker. Length is the
-    /// resolved thread count.
-    pub committed_cycles_per_worker: Vec<u64>,
 }
 
 impl BatchExploreStats {
@@ -239,37 +161,19 @@ impl BatchExploreStats {
         self.active_lane_cycles as f64 / total as f64
     }
 
-    /// Folds another telemetry block into this one: counters add,
-    /// `max_speculation_depth` takes the max, per-worker commit counts
-    /// add elementwise (the longer vector wins the length). `lanes` is
-    /// left alone — it is a configuration echo, not a counter.
+    /// Folds another telemetry block into this one: counters add; `lanes`
+    /// is left alone — it is a configuration echo, not a counter.
     pub fn absorb(&mut self, other: &BatchExploreStats) {
         self.gate_passes += other.gate_passes;
         self.active_lane_cycles += other.active_lane_cycles;
         self.idle_lane_cycles += other.idle_lane_cycles;
-        self.steals += other.steals;
-        self.steal_failures += other.steal_failures;
-        self.idle_wakeups += other.idle_wakeups;
-        self.max_speculation_depth = self.max_speculation_depth.max(other.max_speculation_depth);
-        if self.committed_cycles_per_worker.len() < other.committed_cycles_per_worker.len() {
-            self.committed_cycles_per_worker
-                .resize(other.committed_cycles_per_worker.len(), 0);
-        }
-        for (a, b) in self
-            .committed_cycles_per_worker
-            .iter_mut()
-            .zip(&other.committed_cycles_per_worker)
-        {
-            *a += b;
-        }
     }
 }
 
 /// Statistics from one exploration.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExploreStats {
-    /// Total simulated cycles (committed to the tree; speculative work that
-    /// was discarded does not count).
+    /// Total simulated cycles committed to the tree.
     pub cycles: u64,
     /// Forks encountered.
     pub forks: u64,
@@ -277,15 +181,15 @@ pub struct ExploreStats {
     pub merges: u64,
     /// States widened by the Chapter-6 heuristic.
     pub widenings: u64,
-    /// Batched-exploration telemetry (scheduling-dependent; see
+    /// Batched-exploration telemetry (batching-dependent; see
     /// [`BatchExploreStats`]).
     pub batch: BatchExploreStats,
 }
 
 impl ExploreStats {
     /// The deterministic core of the statistics — `(cycles, forks, merges,
-    /// widenings)` — bit-identical at any `(threads, lanes)` setting.
-    /// [`ExploreStats::batch`] is scheduling telemetry and is excluded.
+    /// widenings)` — bit-identical at any lane width.
+    /// [`ExploreStats::batch`] is batching telemetry and is excluded.
     pub fn deterministic(&self) -> (u64, u64, u64, u64) {
         (self.cycles, self.forks, self.merges, self.widenings)
     }
@@ -338,15 +242,6 @@ enum PathEnd {
     Sim(SimError),
     /// Input-dependent branch; both directions pre-simulated.
     Fork { branch_pc: u16, dirs: Vec<ForkDir> },
-    /// The claiming thread panicked; the payload is re-thrown on the main
-    /// thread with the failing branch's segment id plus the claim
-    /// provenance (`thief` simulated it, from `victim`'s deque; 0 = the
-    /// driver / the injector).
-    Panicked {
-        msg: String,
-        thief: usize,
-        victim: usize,
-    },
 }
 
 /// The result of simulating one fork-free run: the settled frames (the
@@ -365,9 +260,6 @@ struct PathResult {
 struct PendingPath {
     seg: SegmentId,
     task: u64,
-    /// Completion-buffer key of `state`, pre-computed at push (all zeros
-    /// when exploring without a pool).
-    key: SpecKey,
     /// Fork depth from the root.
     depth: u64,
     state: MachineState,
@@ -543,10 +435,11 @@ struct PathRunner<'c> {
 
 impl<'c> PathRunner<'c> {
     /// A runner whose engine has the program image loaded (symbolic:
-    /// memory stays X) and `reset_cycles` of reset scheduled. Workers pass
-    /// 0 (every speculative task starts from a post-reset snapshot); the
-    /// driver passes the configured reset for the root path. `log_mem`
-    /// turns on per-lane read/write footprint capture for memoization.
+    /// memory stays X) and `reset_cycles` of reset scheduled: the
+    /// configured reset for the root path, 0 when the root is replayed
+    /// from the memo (every other task starts from a post-reset
+    /// snapshot). `log_mem` turns on per-lane read/write footprint
+    /// capture for memoization.
     fn new(
         cpu: &'c Cpu,
         program: &Program,
@@ -879,201 +772,6 @@ impl<'c> PathRunner<'c> {
     }
 }
 
-/// Completion-buffer key of a speculative branch: the starting state's
-/// content hash plus its cycle. Claims always verify full
-/// [`MachineState`] equality on top, so a (vanishingly unlikely) hash
-/// collision degrades to an inline re-simulation, never a wrong result.
-type SpecKey = (u64, u64);
-
-fn spec_key(s: &MachineState) -> SpecKey {
-    (s.content_hash(), s.cycle())
-}
-
-/// One speculative unit of work: an unexplored execution-tree branch.
-struct SpecTask {
-    key: SpecKey,
-    /// Fork depth from the root (steal telemetry + the test panic hook).
-    depth: u64,
-    state: MachineState,
-}
-
-impl SpecTask {
-    fn new(state: MachineState, depth: u64) -> SpecTask {
-        SpecTask {
-            key: spec_key(&state),
-            depth,
-            state,
-        }
-    }
-}
-
-/// A finished speculative path parked in the completion buffer.
-struct SpecDone {
-    /// Full starting state, for the collision check at claim time.
-    state: MachineState,
-    result: PathResult,
-    /// Which thread simulated it (0 = the driver).
-    worker: usize,
-}
-
-/// A branch currently inside some thread's `run_batch` call (the full
-/// state backs the collision check when the driver decides to wait).
-struct Inflight {
-    state: MachineState,
-}
-
-/// The synchronized part of the work-stealing pool: the out-of-order
-/// completion buffer plus in-flight claims. Deques live outside this lock
-/// (one mutex each) so owner pushes don't serialize against the board.
-struct WsBoard {
-    results: HashMap<SpecKey, SpecDone>,
-    inflight: HashMap<SpecKey, Inflight>,
-    /// Bumped on every deque push; parked workers re-probe when it moves
-    /// (the lost-wakeup guard: pushes happen outside the board lock).
-    work_epoch: u64,
-    shutdown: bool,
-}
-
-/// Shared state of the work-stealing explorer pool.
-struct WsPool {
-    /// `queues[0]` is the injector (branches the driver seeds at fork
-    /// commits); `queues[w]` is worker `w`'s own deque.
-    queues: Vec<crate::par::StealDeque<SpecTask>>,
-    board: Mutex<WsBoard>,
-    /// Signals a newly buffered result (the driver waits here).
-    result_ready: Condvar,
-    /// Signals queued work or freed buffer space (workers wait here).
-    work_ready: Condvar,
-    /// Completion-buffer bound: buffered + in-flight branches. Soft — each
-    /// participant may overshoot by the batch it is finishing.
-    window: usize,
-    steal_seed: u64,
-    /// Fork depth of the driver's committed frontier (the baseline for
-    /// `max_speculation_depth`).
-    committed_depth: AtomicU64,
-    gate_passes: AtomicU64,
-    active_lane_cycles: AtomicU64,
-    idle_lane_cycles: AtomicU64,
-    steals: AtomicU64,
-    steal_failures: AtomicU64,
-    idle_wakeups: AtomicU64,
-    max_speculation_depth: AtomicU64,
-}
-
-impl WsPool {
-    fn new(threads: usize, window: usize, steal_seed: u64) -> WsPool {
-        WsPool {
-            queues: (0..threads)
-                .map(|_| crate::par::StealDeque::new())
-                .collect(),
-            board: Mutex::new(WsBoard {
-                results: HashMap::new(),
-                inflight: HashMap::new(),
-                work_epoch: 0,
-                shutdown: false,
-            }),
-            result_ready: Condvar::new(),
-            work_ready: Condvar::new(),
-            window,
-            steal_seed,
-            committed_depth: AtomicU64::new(0),
-            gate_passes: AtomicU64::new(0),
-            active_lane_cycles: AtomicU64::new(0),
-            idle_lane_cycles: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            steal_failures: AtomicU64::new(0),
-            idle_wakeups: AtomicU64::new(0),
-            max_speculation_depth: AtomicU64::new(0),
-        }
-    }
-
-    fn shutdown(&self) {
-        self.board.lock().expect("board lock").shutdown = true;
-        self.result_ready.notify_all();
-        self.work_ready.notify_all();
-    }
-
-    /// Seeds the injector with a fork child the driver just committed —
-    /// unless speculation already produced, claimed, or queued it.
-    fn seed(&self, task: SpecTask) {
-        {
-            let board = self.board.lock().expect("board lock");
-            if board.results.contains_key(&task.key) || board.inflight.contains_key(&task.key) {
-                return;
-            }
-        }
-        if self.queues.iter().any(|q| q.any(|t| t.key == task.key)) {
-            return;
-        }
-        self.queues[0].push_back(task);
-        self.board.lock().expect("board lock").work_epoch += 1;
-        self.work_ready.notify_all();
-    }
-
-    /// Records how far past the committed frontier a claim speculates.
-    fn note_depth(&self, depth: u64) {
-        let ahead = depth.saturating_sub(self.committed_depth.load(Ordering::Relaxed));
-        self.max_speculation_depth
-            .fetch_max(ahead, Ordering::Relaxed);
-    }
-
-    /// Sweeps speculation a widening/merge commit just orphaned: anything
-    /// unreachable from the pending stack through buffered fork edges will
-    /// never be fetched. In-flight batches can't be cancelled; their
-    /// results are swept by a later purge (or die with the pool). Skipped
-    /// while the buffer is under half the window — marking costs one state
-    /// hash per buffered fork edge.
-    fn purge(&self, stack: &[PendingPath]) {
-        let mut board = self.board.lock().expect("board lock");
-        if board.results.len() + board.inflight.len() < self.window / 2 {
-            return;
-        }
-        let mut keep: HashSet<SpecKey> = stack.iter().map(|p| p.key).collect();
-        let mut frontier: Vec<SpecKey> = keep.iter().copied().collect();
-        while let Some(k) = frontier.pop() {
-            if let Some(done) = board.results.get(&k) {
-                if let PathEnd::Fork { dirs, .. } = &done.result.end {
-                    for d in dirs {
-                        let ck = spec_key(&d.after);
-                        if keep.insert(ck) {
-                            frontier.push(ck);
-                        }
-                    }
-                }
-            }
-        }
-        board.results.retain(|k, _| keep.contains(k));
-        drop(board);
-        for q in &self.queues {
-            q.retain(|t| keep.contains(&t.key));
-        }
-        self.work_ready.notify_all();
-    }
-
-    fn absorb(&self, stats: &BatchExploreStats) {
-        self.gate_passes
-            .fetch_add(stats.gate_passes, Ordering::Relaxed);
-        self.active_lane_cycles
-            .fetch_add(stats.active_lane_cycles, Ordering::Relaxed);
-        self.idle_lane_cycles
-            .fetch_add(stats.idle_lane_cycles, Ordering::Relaxed);
-    }
-
-    fn drain_stats(&self) -> BatchExploreStats {
-        BatchExploreStats {
-            lanes: 0,
-            gate_passes: self.gate_passes.load(Ordering::Relaxed),
-            active_lane_cycles: self.active_lane_cycles.load(Ordering::Relaxed),
-            idle_lane_cycles: self.idle_lane_cycles.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            steal_failures: self.steal_failures.load(Ordering::Relaxed),
-            idle_wakeups: self.idle_wakeups.load(Ordering::Relaxed),
-            max_speculation_depth: self.max_speculation_depth.load(Ordering::Relaxed),
-            committed_cycles_per_worker: Vec::new(),
-        }
-    }
-}
-
 impl<'c> SymbolicExplorer<'c> {
     /// Creates an explorer for the given core.
     pub fn new(cpu: &'c Cpu, config: ExploreConfig) -> SymbolicExplorer<'c> {
@@ -1192,432 +890,63 @@ impl<'c> SymbolicExplorer<'c> {
         let m = explore_metrics();
         m.explorations.inc();
         let t0 = std::time::Instant::now();
-        let r = self.explore_pooled(program);
+        let lanes = match self.config.lanes {
+            0 => crate::par::DEFAULT_EXPLORE_LANES,
+            n => n.clamp(1, xbound_logic::MAX_LANES),
+        };
+        let r = {
+            let _span =
+                trace::span_args("explore", || vec![("lanes".to_string(), lanes.to_string())]);
+            self.explore_dfs(program, lanes)
+        };
         m.explore_us.observe_us(t0.elapsed().as_micros() as u64);
         r
     }
 
-    /// [`Self::explore`] behind the metrics funnel: resolves the pool
-    /// shape and runs the commit loop, inline or against a worker pool.
-    fn explore_pooled(
-        &self,
-        program: &Program,
-    ) -> Result<(ExecutionTree, ExploreStats), AnalysisError> {
-        let threads = crate::par::resolve_threads(self.config.threads);
-        let lanes = crate::par::resolve_explore_lanes(self.config.lanes);
-        let _span = trace::span_args("explore", || {
-            vec![
-                ("threads".to_string(), threads.to_string()),
-                ("lanes".to_string(), lanes.to_string()),
-            ]
-        });
-        if threads <= 1 {
-            return self.explore_driver(program, None, lanes);
-        }
-        let window =
-            crate::par::resolve_speculation_window(self.config.speculation_window, threads, lanes);
-        let pool = WsPool::new(threads, window, self.config.steal_seed);
-        std::thread::scope(|s| {
-            for w in 1..threads {
-                let pool = &pool;
-                s.spawn(move || self.ws_worker_loop(program, pool, lanes, w));
-            }
-            // Shut the pool down even if the driver panics (including the
-            // re-throw of a captured worker panic): the scope joins every
-            // worker before propagating, and a parked worker only wakes on
-            // shutdown — without the guard the join would deadlock.
-            struct ShutdownGuard<'p>(&'p WsPool);
-            impl Drop for ShutdownGuard<'_> {
-                fn drop(&mut self) {
-                    self.0.shutdown();
-                }
-            }
-            let _guard = ShutdownGuard(&pool);
-            self.explore_driver(program, Some(&pool), lanes)
-        })
-    }
-
-    /// Test-only panic injection ([`ExploreConfig::test_panic_depth`]):
-    /// fires in whichever thread claims a branch forked at the configured
-    /// depth, so the panic surfaces with claim provenance however the
-    /// speculation race resolves.
-    fn ws_test_panic(&self, depths: impl IntoIterator<Item = u64>) {
-        let d = self.config.test_panic_depth;
-        if d > 0 && depths.into_iter().any(|x| x == d) {
-            panic!("test-injected panic at fork depth {d}");
-        }
-    }
-
-    /// One speculative worker: claims branches — own deque back (LIFO,
-    /// cache-warm), else stealing from a victim's front (the oldest,
-    /// shallowest-forked region) — simulates them as one `PathRunner`
-    /// batch, buffers the results, and immediately self-expands any forks
-    /// into new local work without waiting for a commit.
-    fn ws_worker_loop(&self, program: &Program, pool: &WsPool, lanes: usize, me: usize) {
-        if trace::enabled() {
-            trace::set_thread_label(&format!("explore-worker-{me}"));
-        }
-        let log_mem = self.memo.is_some();
-        let mut runner = PathRunner::new(self.cpu, program, lanes, 0, log_mem);
-        let mut round: u64 = 0;
-        loop {
-            // Window gate: no new speculation while the completion buffer
-            // (plus in-flight batches) is at capacity.
-            {
-                let mut board = pool.board.lock().expect("board lock");
-                loop {
-                    if board.shutdown {
-                        return;
-                    }
-                    if board.results.len() + board.inflight.len() < pool.window {
-                        break;
-                    }
-                    board = pool.work_ready.wait(board).expect("board wait");
-                    pool.idle_wakeups.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // Claim: own deque first, then steal.
-            round += 1;
-            let mut victim = me;
-            let mut batch = pool.queues[me].pop_back_batch(lanes);
-            if batch.is_empty() {
-                for v in crate::par::victim_order(me, pool.queues.len(), pool.steal_seed, round) {
-                    let got = pool.queues[v].steal_front(lanes);
-                    if got.is_empty() {
-                        pool.steal_failures.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    pool.steals.fetch_add(1, Ordering::Relaxed);
-                    trace::instant_args("steal", || {
-                        vec![
-                            ("victim".to_string(), v.to_string()),
-                            ("branches".to_string(), got.len().to_string()),
-                        ]
-                    });
-                    victim = v;
-                    batch = got;
-                    break;
-                }
-            }
-            if batch.is_empty() {
-                // Nothing anywhere: park until the work epoch moves.
-                let mut board = pool.board.lock().expect("board lock");
-                let seen = board.work_epoch;
-                while board.work_epoch == seen && !board.shutdown {
-                    board = pool.work_ready.wait(board).expect("board wait");
-                }
-                if board.shutdown {
-                    return;
-                }
-                drop(board);
-                pool.idle_wakeups.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            // Mark in flight, dropping branches another participant
-            // already produced or started (duplicate speculation).
-            let mut tasks: Vec<SpecTask> = Vec::with_capacity(batch.len());
-            {
-                let mut board = pool.board.lock().expect("board lock");
-                for t in batch {
-                    if board.results.contains_key(&t.key) || board.inflight.contains_key(&t.key) {
-                        continue;
-                    }
-                    board.inflight.insert(
-                        t.key,
-                        Inflight {
-                            state: t.state.clone(),
-                        },
-                    );
-                    tasks.push(t);
-                }
-            }
-            if tasks.is_empty() {
-                continue;
-            }
-            // Memo hits short-circuit before any lane simulates: replay
-            // straight into the buffer, keep only the misses.
-            let mut done: Vec<(SpecTask, PathResult)> = Vec::new();
-            let mut misses: Vec<SpecTask> = Vec::new();
-            for t in tasks {
-                match self.memo_replay(1, &t.state) {
-                    Some(r) => done.push((t, r)),
-                    None => misses.push(t),
-                }
-            }
-            if !misses.is_empty() {
-                for t in &misses {
-                    pool.note_depth(t.depth);
-                }
-                let batch_tasks: Vec<BatchTask> = misses
-                    .iter()
-                    .map(|t| BatchTask {
-                        start: Some(t.state.clone()),
-                        pre_frames: 1,
-                    })
-                    .collect();
-                // A panic inside the gate-level simulator must not strand
-                // the driver in `fetch`; capture it and re-throw at commit
-                // (labeled with segment + claim provenance there). If the
-                // commit loop never needs the branch, the panic dies with
-                // the discarded speculation — a single-threaded run would
-                // never have simulated that branch at all.
-                let batch_span = trace::span_args("explore_batch", || {
-                    vec![
-                        ("branches".to_string(), misses.len().to_string()),
-                        ("victim".to_string(), victim.to_string()),
-                    ]
-                });
-                let results = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.ws_test_panic(misses.iter().map(|t| t.depth));
-                    runner.run_batch(self, batch_tasks)
-                })) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let msg = crate::par::payload_message(e.as_ref());
-                        // The engine may be poisoned mid-eval; rebuild it.
-                        runner = PathRunner::new(self.cpu, program, lanes, 0, log_mem);
-                        misses
-                            .iter()
-                            .map(|_| PathResult {
-                                frames: Vec::new(),
-                                end: PathEnd::Panicked {
-                                    msg: msg.clone(),
-                                    thief: me,
-                                    victim,
-                                },
-                                reads: None,
-                            })
-                            .collect()
-                    }
-                };
-                drop(batch_span);
-                pool.absorb(&runner.stats);
-                runner.stats = BatchExploreStats::default();
-                done.extend(misses.into_iter().zip(results));
-            }
-            self.ws_publish(pool, me, done);
-        }
-    }
-
-    /// Buffers finished speculative results and self-expands their forks:
-    /// memo hits are replayed and buffered on the spot (their forks expand
-    /// too), misses go onto the worker's own deque — Taken below NotTaken,
-    /// so the owner's LIFO pops match the driver's DFS order. The window
-    /// gate bounds the expansion: once the buffer or the deque is
-    /// saturated, remaining branches are dropped (the driver re-simulates
-    /// inline whatever speculation never covered).
-    fn ws_publish(&self, pool: &WsPool, me: usize, done: Vec<(SpecTask, PathResult)>) {
-        let mut worklist: Vec<SpecTask> = Vec::new();
-        let expand = |worklist: &mut Vec<SpecTask>, end: &PathEnd, depth: u64| {
-            if let PathEnd::Fork { dirs, .. } = end {
-                for d in dirs.iter().rev() {
-                    worklist.push(SpecTask::new(d.after.clone(), depth + 1));
-                }
-            }
-        };
-        {
-            let mut board = pool.board.lock().expect("board lock");
-            for (task, result) in done {
-                board.inflight.remove(&task.key);
-                expand(&mut worklist, &result.end, task.depth);
-                board.results.entry(task.key).or_insert(SpecDone {
-                    state: task.state,
-                    result,
-                    worker: me,
-                });
-            }
-        }
-        pool.result_ready.notify_all();
-        let mut queued = false;
-        while let Some(t) = worklist.pop() {
-            let window_full = {
-                let board = pool.board.lock().expect("board lock");
-                if board.results.contains_key(&t.key) || board.inflight.contains_key(&t.key) {
-                    continue;
-                }
-                board.results.len() + board.inflight.len() >= pool.window
-            };
-            if !window_full {
-                if let Some(r) = self.memo_replay(1, &t.state) {
-                    expand(&mut worklist, &r.end, t.depth);
-                    pool.board
-                        .lock()
-                        .expect("board lock")
-                        .results
-                        .entry(t.key)
-                        .or_insert(SpecDone {
-                            state: t.state,
-                            result: r,
-                            worker: me,
-                        });
-                    pool.result_ready.notify_all();
-                    continue;
-                }
-            }
-            if pool.queues[me].len() < pool.window {
-                pool.queues[me].push_back(t);
-                queued = true;
-            }
-        }
-        if queued {
-            pool.board.lock().expect("board lock").work_epoch += 1;
-            pool.work_ready.notify_all();
-        }
-    }
-
-    /// Obtains the result for a pending path plus the id of the thread
-    /// that produced it (0 = the driver): from the local replay cache,
-    /// from the completion buffer (waiting out an in-flight batch if a
-    /// worker is simulating it right now), or by pulling the branch off
-    /// whichever deque holds it and simulating inline — batched with the
-    /// nearest unexplored stack entries speculation has not covered.
+    /// Obtains the result for a pending path: from the local result cache
+    /// (a memo replay or an earlier batch), or by simulating it inline —
+    /// batched with the top of the pending stack (the branches DFS will
+    /// pop next) that are not cached yet.
     fn fetch(
         &self,
-        pool: Option<&WsPool>,
         runner: &mut PathRunner<'c>,
         cache: &mut HashMap<u64, PathResult>,
         stack: &[PendingPath],
         p: &PendingPath,
-    ) -> (PathResult, usize) {
+    ) -> PathResult {
         if let Some(r) = cache.remove(&p.task) {
-            return (r, 0);
+            return r;
         }
         let lanes = runner.sim.lanes();
-        let Some(pool) = pool else {
-            // Inline: batch the needed task with the top of the pending
-            // stack (the branches DFS will pop next).
-            let mut tasks = vec![BatchTask {
-                start: Some(p.state.clone()),
-                pre_frames: 1,
-            }];
-            let mut ids = vec![p.task];
-            for q in stack.iter().rev() {
-                if tasks.len() >= lanes {
-                    break;
-                }
-                if q.task != p.task && !cache.contains_key(&q.task) {
-                    tasks.push(BatchTask {
-                        start: Some(q.state.clone()),
-                        pre_frames: 1,
-                    });
-                    ids.push(q.task);
-                }
-            }
-            let results = runner.run_batch(self, tasks);
-            for (id, r) in ids.into_iter().zip(results) {
-                cache.insert(id, r);
-            }
-            return (cache.remove(&p.task).expect("batched task simulated"), 0);
-        };
-        // 1. Claim from the completion buffer, waiting out an in-flight
-        //    claim (full-state equality guards against key collisions).
-        {
-            let mut board = pool.board.lock().expect("board lock");
-            loop {
-                if board
-                    .results
-                    .get(&p.key)
-                    .is_some_and(|d| d.state == p.state)
-                {
-                    let done = board.results.remove(&p.key).expect("probed above");
-                    drop(board);
-                    pool.work_ready.notify_all(); // freed window space
-                    return (done.result, done.worker);
-                }
-                if board
-                    .inflight
-                    .get(&p.key)
-                    .is_some_and(|f| f.state == p.state)
-                {
-                    board = pool.result_ready.wait(board).expect("board wait");
-                    continue;
-                }
-                break;
-            }
-        }
-        // 2. Unclaimed: pull it (if queued anywhere) and simulate inline,
-        //    batched with stack-top branches speculation has not covered.
-        for q in &pool.queues {
-            if q.remove_where(|t| t.key == p.key && t.state == p.state)
-                .is_some()
-            {
-                break;
-            }
-        }
         let mut tasks = vec![BatchTask {
             start: Some(p.state.clone()),
             pre_frames: 1,
         }];
         let mut ids = vec![p.task];
-        let mut extra: Vec<&PendingPath> = Vec::new();
-        {
-            let board = pool.board.lock().expect("board lock");
-            for q in stack.iter().rev() {
-                if tasks.len() >= lanes {
-                    break;
-                }
-                if q.task == p.task || cache.contains_key(&q.task) {
-                    continue;
-                }
-                if board.results.contains_key(&q.key) || board.inflight.contains_key(&q.key) {
-                    continue;
-                }
+        for q in stack.iter().rev() {
+            if tasks.len() >= lanes {
+                break;
+            }
+            if q.task != p.task && !cache.contains_key(&q.task) {
                 tasks.push(BatchTask {
                     start: Some(q.state.clone()),
                     pre_frames: 1,
                 });
                 ids.push(q.task);
-                extra.push(q);
             }
         }
-        // The extras ride this inline batch; drop their queued duplicates
-        // so no worker re-simulates them.
-        for q in extra {
-            for dq in &pool.queues {
-                if dq
-                    .remove_where(|t| t.key == q.key && t.state == q.state)
-                    .is_some()
-                {
-                    break;
-                }
-            }
-        }
-        // The same catch-and-label treatment workers get: a panic in the
-        // inline batch surfaces at commit with segment context. The
-        // runner is never reused after a Panicked commit (it re-throws).
-        let results = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.ws_test_panic([p.depth]);
-            runner.run_batch(self, tasks)
-        })) {
-            Ok(r) => r,
-            Err(e) => {
-                let msg = crate::par::payload_message(e.as_ref());
-                ids.iter()
-                    .map(|_| PathResult {
-                        frames: Vec::new(),
-                        end: PathEnd::Panicked {
-                            msg: msg.clone(),
-                            thief: 0,
-                            victim: 0,
-                        },
-                        reads: None,
-                    })
-                    .collect()
-            }
-        };
+        let results = runner.run_batch(self, tasks);
         for (id, r) in ids.into_iter().zip(results) {
             cache.insert(id, r);
         }
-        (cache.remove(&p.task).expect("batched task simulated"), 0)
+        cache.remove(&p.task).expect("batched task simulated")
     }
 
-    /// The deterministic commit loop: depth-first order, exactly the
-    /// sequential algorithm, with path simulation delegated to
-    /// [`PathRunner::run_batch`] (inline or speculative).
-    fn explore_driver(
+    /// The depth-first commit loop: exactly the sequential algorithm, with
+    /// path simulation delegated to [`PathRunner::run_batch`].
+    fn explore_dfs(
         &self,
         program: &Program,
-        pool: Option<&WsPool>,
         lanes: usize,
     ) -> Result<(ExecutionTree, ExploreStats), AnalysisError> {
         let log_mem = self.memo.is_some();
@@ -1636,10 +965,6 @@ impl<'c> SymbolicExplorer<'c> {
         let mut pc_table: HashMap<u16, PcEntry> = HashMap::new();
         let mut stack: Vec<PendingPath> = Vec::new();
         let mut next_task: u64 = 0;
-        // Commit attribution: which thread produced the path being
-        // committed (0 = driver) and its fork depth.
-        let mut per_worker: Vec<u64> = vec![0; pool.map_or(1, |p| p.queues.len())];
-        let mut cur_src: usize = 0;
         let mut cur_depth: u64 = 0;
 
         let root = tree.push(Segment {
@@ -1650,7 +975,7 @@ impl<'c> SymbolicExplorer<'c> {
         });
         let mut current = root;
         // Root starts from the engine's power-on state (lane 0; the other
-        // lanes idle through it and are counted as speculative waste).
+        // lanes idle through it and are counted as idle lane-cycles).
         // For memoization it is also a snapshot like any other path start:
         // keyed at budget position 0, footprint-checked like the rest.
         let mut cur_start = if log_mem {
@@ -1662,8 +987,8 @@ impl<'c> SymbolicExplorer<'c> {
         let mut result = match cur_start.as_ref().and_then(|s| self.memo_replay(0, s)) {
             Some(r) => {
                 // The engine never simulated the root, so its scheduled
-                // reset is still pending; rebuild it reset-free so inline
-                // batches start post-reset exactly like worker engines.
+                // reset is still pending; rebuild it reset-free so later
+                // batches start from their post-reset snapshots untouched.
                 runner = PathRunner::new(self.cpu, program, lanes, 0, log_mem);
                 r
             }
@@ -1679,24 +1004,14 @@ impl<'c> SymbolicExplorer<'c> {
                 .expect("root path simulated"),
         };
 
-        let finish_stats = |mut stats: ExploreStats,
-                            runner: &PathRunner<'_>,
-                            pool: Option<&WsPool>,
-                            per_worker: Vec<u64>| {
+        let finish_stats = |mut stats: ExploreStats, runner: &PathRunner<'_>| {
             stats.batch.absorb(&runner.stats);
-            if let Some(pool) = pool {
-                stats.batch.absorb(&pool.drain_stats());
-            }
-            stats.batch.committed_cycles_per_worker = per_worker;
-            // Mirror the run's scheduling telemetry into the global
-            // registry — one batched add per exploration, off the hot
-            // path, after the deterministic stats are final.
+            // Mirror the run's batching telemetry into the global registry
+            // — one batched add per exploration, off the hot path, after
+            // the deterministic stats are final.
             let m = explore_metrics();
             m.gate_passes.add(stats.batch.gate_passes);
             m.committed_cycles.add(stats.cycles);
-            m.steals.add(stats.batch.steals);
-            m.steal_failures.add(stats.batch.steal_failures);
-            m.idle_wakeups.add(stats.batch.idle_wakeups);
             stats
         };
 
@@ -1710,12 +1025,10 @@ impl<'c> SymbolicExplorer<'c> {
             trace::instant_args("commit", || {
                 vec![
                     ("segment".to_string(), current.index().to_string()),
-                    ("worker".to_string(), cur_src.to_string()),
                     ("cycles".to_string(), result.frames.len().to_string()),
                 ]
             });
             stats.cycles += result.frames.len() as u64;
-            per_worker[cur_src] += result.frames.len() as u64;
             tree.get_mut(current).frames.append(&mut result.frames);
             match result.end {
                 PathEnd::Halt => tree.get_mut(current).end = SegmentEnd::Halt,
@@ -1729,12 +1042,6 @@ impl<'c> SymbolicExplorer<'c> {
                     return Err(AnalysisError::UnresolvedPc { cycle, state });
                 }
                 PathEnd::Sim(e) => return Err(AnalysisError::Sim(e)),
-                PathEnd::Panicked { msg, thief, victim } => {
-                    panic!(
-                        "{}",
-                        crate::par::explorer_panic_context(current.index(), thief, victim, &msg)
-                    )
-                }
                 PathEnd::Fork { branch_pc, dirs } => {
                     stats.forks += 1;
                     trace::instant_args("fork", || {
@@ -1743,7 +1050,6 @@ impl<'c> SymbolicExplorer<'c> {
                             ("depth".to_string(), cur_depth.to_string()),
                         ]
                     });
-                    let mut spec_orphaned = false;
                     let branch_frame_cycle = {
                         let seg = tree.segment(current);
                         seg.start_cycle + seg.frames.len() as u64
@@ -1755,7 +1061,6 @@ impl<'c> SymbolicExplorer<'c> {
                         .enumerate()
                     {
                         stats.cycles += 1;
-                        per_worker[cur_src] += 1;
                         let child = tree.push(Segment {
                             parent: Some((current, choice)),
                             start_cycle: branch_frame_cycle,
@@ -1784,9 +1089,6 @@ impl<'c> SymbolicExplorer<'c> {
                             entry.seen.iter().find(|(s, _)| s.covers(&dir.after))
                         {
                             stats.merges += 1;
-                            // Speculation rooted at this pruned state is
-                            // now garbage.
-                            spec_orphaned = true;
                             tree.get_mut(child).end = SegmentEnd::Merged {
                                 into: *owner,
                                 at_pc: pc_after,
@@ -1796,10 +1098,7 @@ impl<'c> SymbolicExplorer<'c> {
                         }
                         let state_to_push = if entry.visits > self.config.widen_threshold {
                             // Widen: join with everything seen at this PC.
-                            // Workers speculated on the un-widened state;
-                            // that subtree is now garbage.
                             stats.widenings += 1;
-                            spec_orphaned = true;
                             let mut w = dir.after.clone();
                             if let Some(j) = &entry.widen_join {
                                 w.join_in_place(j);
@@ -1825,34 +1124,16 @@ impl<'c> SymbolicExplorer<'c> {
                         entry.seen.push((state_to_push.clone(), child));
                         let task = next_task;
                         next_task += 1;
-                        let child_depth = cur_depth + 1;
-                        let key = if pool.is_some() {
-                            spec_key(&state_to_push)
-                        } else {
-                            (0, 0)
-                        };
                         // Warm path: a verified memo entry is stitched in
-                        // via the local result cache — nothing is queued
-                        // and no lane ever simulates this branch.
-                        match self.memo_replay(1, &state_to_push) {
-                            Some(r) => {
-                                cache.insert(task, r);
-                            }
-                            None => {
-                                if let Some(pool) = pool {
-                                    pool.seed(SpecTask {
-                                        key,
-                                        depth: child_depth,
-                                        state: state_to_push.clone(),
-                                    });
-                                }
-                            }
+                        // via the local result cache — no lane ever
+                        // simulates this branch.
+                        if let Some(r) = self.memo_replay(1, &state_to_push) {
+                            cache.insert(task, r);
                         }
                         stack.push(PendingPath {
                             seg: child,
                             task,
-                            key,
-                            depth: child_depth,
+                            depth: cur_depth + 1,
                             state: state_to_push,
                         });
                     }
@@ -1861,14 +1142,6 @@ impl<'c> SymbolicExplorer<'c> {
                         taken: children[0].expect("taken child"),
                         not_taken: children[1].expect("not-taken child"),
                     };
-                    // A merge/widening just orphaned speculative work
-                    // rooted at the pruned state; sweep what the stack can
-                    // no longer reach.
-                    if spec_orphaned {
-                        if let Some(pool) = pool {
-                            pool.purge(&stack);
-                        }
-                    }
                 }
             }
 
@@ -1886,12 +1159,7 @@ impl<'c> SymbolicExplorer<'c> {
             match stack.pop() {
                 None => break,
                 Some(p) => {
-                    if let Some(pl) = pool {
-                        pl.committed_depth.store(p.depth, Ordering::Relaxed);
-                    }
-                    let (r, src) = self.fetch(pool, &mut runner, &mut cache, &stack, &p);
-                    result = r;
-                    cur_src = src;
+                    result = self.fetch(&mut runner, &mut cache, &stack, &p);
                     current = p.seg;
                     cur_depth = p.depth;
                     cur_pre = 1;
@@ -1899,6 +1167,6 @@ impl<'c> SymbolicExplorer<'c> {
                 }
             }
         }
-        Ok((tree, finish_stats(stats, &runner, pool, per_worker)))
+        Ok((tree, finish_stats(stats, &runner)))
     }
 }

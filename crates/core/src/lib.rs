@@ -130,9 +130,20 @@ impl std::error::Error for AnalysisError {}
 ///
 /// # Panics
 ///
-/// Panics on an unrecognized value (see [`xbound_sim::EvalMode::parse`]).
+/// Panics on an unrecognized value (see [`xbound_sim::EvalMode::parse`]);
+/// drivers call [`check_sim_engine`] at start-up to reject it cleanly.
 pub fn sim_engine_name() -> &'static str {
     xbound_sim::EvalMode::from_env().name()
+}
+
+/// [`sim_engine_name`] without the panic.
+///
+/// # Errors
+///
+/// An unrecognized `XBOUND_SIM_ENGINE` value: one line naming it and
+/// listing the accepted values.
+pub fn check_sim_engine() -> Result<&'static str, String> {
+    xbound_sim::EvalMode::try_from_env().map(|m| m.name())
 }
 
 impl From<SimError> for AnalysisError {

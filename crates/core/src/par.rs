@@ -52,57 +52,23 @@ pub fn resolve_threads(requested: usize) -> usize {
     })
 }
 
-/// Floor for the auto-resolved speculation window (see
-/// [`resolve_speculation_window`]).
-pub const MIN_AUTO_SPECULATION_WINDOW: usize = 32;
-
-/// Resolves the out-of-order completion-buffer bound of the work-stealing
-/// explorer ([`crate::ExploreConfig::speculation_window`]).
+/// Resolves the batched concrete-simulation lane-width knob.
 ///
-/// `0` means *auto*: the `XBOUND_SPECULATION_WINDOW` environment variable
-/// if set to a positive integer, otherwise `4 × threads × lanes` with a
-/// floor of [`MIN_AUTO_SPECULATION_WINDOW`] — enough headroom for every
-/// worker to keep a few batches in flight past the committed frontier.
-/// Any positive value is used as-is (a tiny window throttles speculation
-/// but never changes results). Irrelevant at `threads <= 1`, where the
-/// driver explores inline without a pool.
-pub fn resolve_speculation_window(requested: usize, threads: usize, lanes: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Ok(v) = std::env::var("XBOUND_SPECULATION_WINDOW") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    (4 * threads * lanes).max(MIN_AUTO_SPECULATION_WINDOW)
-}
-
-/// The shared lane-knob cascade: explicit request → environment variable
-/// → default, clamped to `1..=`[`xbound_logic::MAX_LANES`] (one bit per
-/// lane in a `u64` plane pair).
-fn resolve_lane_knob(requested: usize, env_var: &str, default: usize) -> usize {
+/// `0` means *auto*: the `XBOUND_LANES` environment variable if set to a
+/// positive integer, otherwise [`DEFAULT_LANES`]; the result is clamped
+/// to `1..=`[`xbound_logic::MAX_LANES`] (one bit per lane in a `u64`
+/// plane pair). Results are bit-identical at any lane width; the knob
+/// only trades memory for gate-pass sharing.
+pub fn resolve_lanes(requested: usize) -> usize {
     let lanes = if requested > 0 {
         requested
-    } else if let Ok(v) = std::env::var(env_var) {
+    } else if let Ok(v) = std::env::var("XBOUND_LANES") {
         v.trim().parse::<usize>().unwrap_or(0)
     } else {
         0
     };
-    let lanes = if lanes == 0 { default } else { lanes };
+    let lanes = if lanes == 0 { DEFAULT_LANES } else { lanes };
     lanes.clamp(1, xbound_logic::MAX_LANES)
-}
-
-/// Resolves the batched concrete-simulation lane-width knob.
-///
-/// `0` means *auto*: the `XBOUND_LANES` environment variable if set to a
-/// positive integer, otherwise [`DEFAULT_LANES`]. Results are
-/// bit-identical at any lane width; the knob only trades memory for
-/// gate-pass sharing.
-pub fn resolve_lanes(requested: usize) -> usize {
-    resolve_lane_knob(requested, "XBOUND_LANES", DEFAULT_LANES)
 }
 
 /// Default lane width for batched symbolic exploration.
@@ -111,24 +77,13 @@ pub fn resolve_lanes(requested: usize) -> usize {
 /// than a handful of pending branches at once, and (unlike concrete
 /// populations, which run in lock-step from one reset) branches sit at
 /// different program points, so their dirty cones overlap less — 8 lanes
-/// captures nearly all of the measured pass sharing.
+/// captures nearly all of the measured pass sharing. Fixed: execution
+/// trees, exploration statistics, and every downstream peak-power table
+/// are bit-identical at any width.
 pub const DEFAULT_EXPLORE_LANES: usize = 8;
 
-/// Resolves the symbolic-exploration lane-width knob
-/// ([`crate::ExploreConfig::lanes`]).
-///
-/// `0` means *auto*: the `XBOUND_EXPLORE_LANES` environment variable if
-/// set to a positive integer, otherwise [`DEFAULT_EXPLORE_LANES`].
-/// Execution trees, exploration statistics, and every downstream
-/// peak-power table are bit-identical at any width; the knob only
-/// controls how many pending execution-tree branches share one gate pass.
-pub fn resolve_explore_lanes(requested: usize) -> usize {
-    resolve_lane_knob(requested, "XBOUND_EXPLORE_LANES", DEFAULT_EXPLORE_LANES)
-}
-
 /// Renders a panic payload for re-raising with job context (shared by
-/// [`par_map_labeled`], the symbolic explorer's speculative pool, and the
-/// co-analysis service's job workers).
+/// [`par_map_labeled`] and the co-analysis service's job workers).
 pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -137,152 +92,6 @@ pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Renders the panic context of a work-stealing explorer branch for
-/// re-raising on the commit thread: which execution-tree segment the
-/// branch became, which worker simulated it (`thief`), and whose deque it
-/// was claimed from (`victim`). Worker id `0` is the driver thread; queue
-/// id `0` is the shared injector seeded at fork commits.
-pub fn explorer_panic_context(segment: usize, thief: usize, victim: usize, msg: &str) -> String {
-    let who = if thief == 0 {
-        "explorer driver".to_string()
-    } else {
-        format!("explorer worker {thief}")
-    };
-    let provenance = match (thief, victim) {
-        (0, _) => "claimed inline".to_string(),
-        (t, v) if t == v => "own deque".to_string(),
-        (_, 0) => "stolen from the injector".to_string(),
-        (_, v) => format!("stolen from worker {v}"),
-    };
-    format!("{who} panicked (segment {segment}, {provenance}): {msg}")
-}
-
-/// A mutex-guarded deque of pending work for one work-stealing
-/// participant.
-///
-/// The owner pushes and pops at the *back* (LIFO: the most recently
-/// discovered fork is the cache-warm one); thieves take from the *front*
-/// (FIFO: the oldest entry is the shallowest-forked region, whose subtree
-/// is the largest — stealing it amortizes a whole `PathRunner` batch
-/// fill). One `Mutex<VecDeque>` per participant keeps contention to
-/// owner-vs-single-thief instead of everyone-vs-one-central-queue;
-/// "lock-free-ish" is as far as std-only goes.
-pub struct StealDeque<T> {
-    inner: Mutex<VecDeque<T>>,
-}
-
-impl<T> Default for StealDeque<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> StealDeque<T> {
-    /// An empty deque.
-    pub fn new() -> Self {
-        StealDeque {
-            inner: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Number of queued entries (a racy snapshot; used for backpressure
-    /// heuristics only).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("deque lock").len()
-    }
-
-    /// True when nothing is queued (same racy snapshot as [`Self::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Owner push: newest work at the back.
-    pub fn push_back(&self, item: T) {
-        self.inner.lock().expect("deque lock").push_back(item);
-    }
-
-    /// Owner claim: up to `max` of the newest entries (LIFO).
-    pub fn pop_back_batch(&self, max: usize) -> Vec<T> {
-        let mut q = self.inner.lock().expect("deque lock");
-        let n = q.len().min(max);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(q.pop_back().expect("len checked"));
-        }
-        out
-    }
-
-    /// Thief claim: up to `min(max, ceil(len / 2))` of the *oldest*
-    /// entries — the victim keeps the newer (cache-warm) half of its
-    /// region, the thief walks away with the shallowest branches.
-    pub fn steal_front(&self, max: usize) -> Vec<T> {
-        let mut q = self.inner.lock().expect("deque lock");
-        let n = q.len().div_ceil(2).min(max);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(q.pop_front().expect("len checked"));
-        }
-        out
-    }
-
-    /// Removes and returns the first entry matching `pred`, front to back.
-    pub fn remove_where(&self, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
-        let mut q = self.inner.lock().expect("deque lock");
-        let idx = q.iter().position(&mut pred)?;
-        q.remove(idx)
-    }
-
-    /// Keeps only entries matching `pred` (used to sweep speculation that
-    /// a widening/merge commit made unreachable).
-    pub fn retain(&self, pred: impl FnMut(&T) -> bool) {
-        self.inner.lock().expect("deque lock").retain(pred);
-    }
-
-    /// True if any entry matches `pred`.
-    pub fn any(&self, pred: impl FnMut(&T) -> bool) -> bool {
-        self.inner.lock().expect("deque lock").iter().any(pred)
-    }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Victim visit order for work-stealing participant `me` among `queues`
-/// deques (index 0 is the shared injector, never an owner).
-///
-/// With `seed == 0` (production): the injector first — fork-commit seeds
-/// are the shallowest regions in the system — then the other workers in
-/// ring order starting after `me`, so concurrent thieves fan out instead
-/// of convoying on one victim. With `seed != 0` (the test-only
-/// steal-interleaving shuffle, [`crate::ExploreConfig::steal_seed`]): a
-/// deterministic Fisher–Yates shuffle of the same candidates keyed on
-/// `(seed, me, round)`, so invariance tests can drive many distinct steal
-/// interleavings reproducibly.
-pub fn victim_order(me: usize, queues: usize, seed: u64, round: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = Vec::with_capacity(queues.saturating_sub(1));
-    order.push(0);
-    let base = me.max(1) - 1;
-    for off in 1..queues {
-        let v = 1 + (base + off) % (queues - 1);
-        if v != me {
-            order.push(v);
-        }
-    }
-    if seed != 0 && order.len() > 1 {
-        let mut s = splitmix64(seed ^ (me as u64).wrapping_mul(0x9e37_79b9) ^ round);
-        for i in (1..order.len()).rev() {
-            s = splitmix64(s);
-            let j = (s % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-    }
-    order
 }
 
 /// Order-preserving parallel map over `items` with a scoped worker pool.
@@ -417,98 +226,11 @@ mod tests {
     }
 
     #[test]
-    fn resolve_speculation_window_has_sane_auto() {
-        assert_eq!(resolve_speculation_window(7, 4, 8), 7);
-        let auto = resolve_speculation_window(0, 4, 8);
-        assert!(auto >= MIN_AUTO_SPECULATION_WINDOW, "{auto}");
-        assert!(resolve_speculation_window(0, 1, 1) >= MIN_AUTO_SPECULATION_WINDOW);
-    }
-
-    #[test]
-    fn steal_deque_owner_lifo_thief_fifo() {
-        let q: StealDeque<u32> = StealDeque::new();
-        for v in 0..6 {
-            q.push_back(v);
-        }
-        // Thief takes the oldest half, front first.
-        assert_eq!(q.steal_front(8), vec![0, 1, 2]);
-        // Owner pops newest first.
-        assert_eq!(q.pop_back_batch(2), vec![5, 4]);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.remove_where(|v| *v == 3), Some(3));
-        assert!(q.is_empty());
-        assert_eq!(q.steal_front(4), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn steal_deque_steals_at_most_half_rounded_up() {
-        let q: StealDeque<u32> = StealDeque::new();
-        q.push_back(1);
-        assert_eq!(q.steal_front(8), vec![1]); // ceil(1/2) = 1
-        for v in 0..5 {
-            q.push_back(v);
-        }
-        assert_eq!(q.steal_front(8).len(), 3); // ceil(5/2)
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn victim_order_ring_covers_all_others() {
-        // seed 0: injector first, then the other workers, never self.
-        for me in 1..4 {
-            let order = victim_order(me, 4, 0, 0);
-            assert_eq!(order[0], 0, "injector first: {order:?}");
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            let expected: Vec<usize> = (0..4).filter(|v| *v != me).collect();
-            assert_eq!(sorted, expected, "me={me}");
-        }
-        assert_eq!(victim_order(1, 2, 0, 0), vec![0]);
-    }
-
-    #[test]
-    fn victim_order_seeded_is_deterministic_and_complete() {
-        let a = victim_order(2, 6, 0xfeed, 3);
-        let b = victim_order(2, 6, 0xfeed, 3);
-        assert_eq!(a, b);
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 3, 4, 5]);
-        // Different rounds eventually produce different interleavings.
-        let varied = (0..16).any(|round| victim_order(2, 6, 0xfeed, round) != a);
-        assert!(varied, "seeded shuffle never varied across rounds");
-    }
-
-    #[test]
-    fn explorer_panic_context_names_segment_and_workers() {
-        let own = explorer_panic_context(7, 2, 2, "boom");
-        assert!(own.contains("worker 2") && own.contains("segment 7") && own.contains("own deque"));
-        let stolen = explorer_panic_context(3, 1, 2, "boom");
-        assert!(stolen.contains("worker 1") && stolen.contains("stolen from worker 2"));
-        let injector = explorer_panic_context(3, 1, 0, "boom");
-        assert!(injector.contains("stolen from the injector"), "{injector}");
-        let driver = explorer_panic_context(9, 0, 0, "boom");
-        assert!(
-            driver.contains("driver") && driver.contains("segment 9"),
-            "{driver}"
-        );
-    }
-
-    #[test]
     fn resolve_lanes_clamps_to_word_width() {
         assert_eq!(resolve_lanes(1), 1);
         assert_eq!(resolve_lanes(200), xbound_logic::MAX_LANES);
         assert!(resolve_lanes(0) >= 1);
         assert!(resolve_lanes(0) <= xbound_logic::MAX_LANES);
-    }
-
-    #[test]
-    fn resolve_explore_lanes_clamps_to_word_width() {
-        assert_eq!(resolve_explore_lanes(1), 1);
-        assert_eq!(resolve_explore_lanes(8), 8);
-        assert_eq!(resolve_explore_lanes(200), xbound_logic::MAX_LANES);
-        assert!(resolve_explore_lanes(0) >= 1);
-        assert!(resolve_explore_lanes(0) <= xbound_logic::MAX_LANES);
     }
 
     fn catch_message(job: impl FnOnce() + Send) -> String {

@@ -33,7 +33,7 @@
 //! **Byte-identity contract.** Every corner's [`BoundsReport`] is
 //! byte-identical to an independent single-corner [`crate::CoAnalysis`]
 //! run of the same program on a [`crate::UlpSystem`] built from that
-//! corner's `(library(), clock_hz)` — at any `(threads, lanes)` setting.
+//! corner's `(library(), clock_hz)` — at any thread count or lane width.
 //! The single-corner entry points compute exactly the shared values this
 //! module precomputes, so the numeric path is the same code either way
 //! (`crates/core/tests/sweep_differential.rs` pins this).
@@ -240,9 +240,8 @@ pub struct SweepAnalysis {
 /// per-corner power-composition and peak-energy passes of `spec` over
 /// `threads` workers (`0` = auto via [`par::resolve_threads`]).
 ///
-/// `config.threads`/`config.lanes` govern the shared exploration exactly
-/// as in [`crate::CoAnalysis`]; `threads` governs only the corner
-/// fan-out. Callers already running inside a worker pool should pass
+/// The shared exploration runs exactly as in [`crate::CoAnalysis`];
+/// `threads` governs only the corner fan-out. Callers already running inside a worker pool should pass
 /// `threads = 1` ("one layer of parallelism at a time").
 ///
 /// # Errors

@@ -131,11 +131,10 @@ fn input_dependent_loop_terminates_via_memoization() {
 }
 
 #[test]
-fn parallel_exploration_is_thread_and_lane_invariant() {
+fn batched_exploration_is_lane_invariant() {
     let sys = system();
     // Fork-heavy: an input-dependent loop plus an input-dependent branch,
-    // so the speculative pool actually has pending paths to pick up and
-    // the batched runner packs multiple branches per gate pass.
+    // so the batched runner packs multiple pending branches per gate pass.
     let p = assemble(
         r#"
         main:
@@ -154,10 +153,9 @@ fn parallel_exploration_is_thread_and_lane_invariant() {
         "#,
     )
     .unwrap();
-    let explorer = |threads: usize, lanes: usize| {
+    let explorer = |lanes: usize| {
         let cfg = ExploreConfig {
             max_total_cycles: 500_000,
-            threads,
             lanes,
             ..ExploreConfig::default()
         };
@@ -165,35 +163,32 @@ fn parallel_exploration_is_thread_and_lane_invariant() {
             .explore(&p)
             .expect("explores")
     };
-    // The reference: the historical scalar explorer (one lane, no pool).
-    let (t1, s1) = explorer(1, 1);
+    // The reference: the historical scalar explorer (one lane).
+    let (t1, s1) = explorer(1);
     assert_eq!(s1.batch.lanes, 1);
-    for (threads, lanes) in [(1, 8), (1, 64), (2, 1), (2, 8), (4, 64)] {
-        let (tn, sn) = explorer(threads, lanes);
+    for lanes in [8, 64] {
+        let (tn, sn) = explorer(lanes);
         assert_eq!(
             s1.deterministic(),
             sn.deterministic(),
-            "stats differ at {threads} threads x {lanes} lanes"
+            "stats differ at {lanes} lanes"
         );
         assert_eq!(sn.batch.lanes, lanes as u64);
         assert_eq!(
             t1.segments().len(),
             tn.segments().len(),
-            "segment count differs at {threads} threads x {lanes} lanes"
+            "segment count differs at {lanes} lanes"
         );
         for (a, b) in t1.segments().iter().zip(tn.segments()) {
             assert_eq!(a.start_cycle, b.start_cycle);
-            assert_eq!(
-                a.frames, b.frames,
-                "frames differ at {threads} threads x {lanes} lanes"
-            );
+            assert_eq!(a.frames, b.frames, "frames differ at {lanes} lanes");
             assert_eq!(a.end, b.end);
             assert_eq!(a.parent.map(|(p, _)| p), b.parent.map(|(p, _)| p));
         }
     }
     // The batched runner actually packed branches: with 8 lanes some gate
     // passes must have carried more than one in-flight branch.
-    let (_, s8) = explorer(1, 8);
+    let (_, s8) = explorer(8);
     assert!(
         s8.batch.active_lane_cycles > s8.batch.gate_passes,
         "no pass carried two branches: {:?}",
@@ -206,66 +201,6 @@ fn parallel_exploration_is_thread_and_lane_invariant() {
          ({} vs {})",
         s8.batch.gate_passes,
         s1.batch.gate_passes
-    );
-}
-
-/// A panic inside a speculatively-executed branch must surface with the
-/// committed segment id and scheduling provenance (driver-inline, a
-/// worker's own deque, or a steal) — never as a bare payload from a
-/// detached thread.
-#[test]
-fn speculative_panic_carries_segment_and_provenance() {
-    let sys = system();
-    // One input-dependent branch: both fork children sit at fork depth 1,
-    // so the injected panic fires in whichever thread claims the first
-    // child, and commit-order determinism fixes the reported segment.
-    let p = assemble(
-        r#"
-        main:
-            mov &0x0020, r4
-            cmp #1, r4
-            jeq one
-            mov #100, r5
-            jmp done
-        one:
-            mov r4, &0x0130
-        done:
-            mov r5, &0x0200
-            jmp $
-        "#,
-    )
-    .unwrap();
-    let cfg = ExploreConfig {
-        threads: 2,
-        test_panic_depth: 1,
-        ..ExploreConfig::default()
-    };
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        xbound_core::SymbolicExplorer::new(sys.cpu(), cfg).explore(&p)
-    }))
-    .expect_err("injected panic must propagate to the caller");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .expect("panic payload is a string");
-    assert!(
-        msg.starts_with("explorer driver") || msg.starts_with("explorer worker"),
-        "payload names the panicking participant: {msg}"
-    );
-    assert!(
-        msg.contains("claimed inline") || msg.contains("own deque") || msg.contains("stolen from"),
-        "payload names the work's provenance: {msg}"
-    );
-    // Commit order is deterministic, so the segment id in the payload is
-    // too, no matter which thread actually ran the batch.
-    assert!(
-        msg.contains("(segment 2,"),
-        "payload pins the committed segment: {msg}"
-    );
-    assert!(
-        msg.contains("test-injected panic at fork depth 1"),
-        "payload keeps the original message: {msg}"
     );
 }
 

@@ -1,7 +1,8 @@
 //! The sweep byte-identity contract: every corner of [`run_sweep`] must
 //! serialize byte-identically to an independent single-corner
 //! [`CoAnalysis`] of the same program on a [`UlpSystem`] built from that
-//! corner's operating point — at any `(threads, lanes)` setting. This is
+//! corner's operating point — at any corner fan-out width and lane
+//! width. This is
 //! what lets sweep corners, direct runs, and the service's
 //! content-addressed cache entries compose interchangeably.
 
@@ -85,7 +86,6 @@ fn every_corner_matches_a_direct_single_corner_run_at_any_parallelism() {
     for threads in [1usize, 3] {
         for lanes in [1usize, 8] {
             let config = ExploreConfig {
-                threads,
                 lanes,
                 ..ExploreConfig::suite_default()
             };

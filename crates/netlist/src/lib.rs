@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod compile;
 pub mod rtl;
 pub mod verilog;
 

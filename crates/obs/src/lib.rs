@@ -2,7 +2,7 @@
 //! touching what the analyses compute.
 //!
 //! The co-analysis pipeline is a multi-stage concurrent system — a
-//! work-stealing symbolic explorer, memoized re-analysis, an
+//! batched symbolic explorer, memoized re-analysis, an
 //! operating-point sweep engine, and a TCP daemon — whose byte-identity
 //! contract forbids any timing-dependent output in result artifacts.
 //! This crate is the layer *outside* that contract:

@@ -13,7 +13,7 @@
 //! once (typically in a `OnceLock` or at subsystem construction) and
 //! update the returned handle, which is a clone-cheap `Arc` around the
 //! atomic cell. Names use the Prometheus convention
-//! (`snake_case`, subsystem prefix, e.g. `xbound_explore_steals_total`).
+//! (`snake_case`, subsystem prefix, e.g. `xbound_explore_runs_total`).
 //!
 //! Nothing here feeds back into analysis results: the registry is
 //! observability-only and sits outside the byte-identity contract.

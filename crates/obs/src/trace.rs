@@ -10,12 +10,11 @@
 //! When enabled ([`enable`], or `XBOUND_TRACE=out.json` through
 //! [`init_from_env`]), each thread lazily registers a bounded event
 //! buffer (a ring: the newest [`THREAD_BUFFER_CAP`] events win, with a
-//! drop counter) tagged with a small integer `tid` and a label — either
-//! set explicitly with [`set_thread_label`] (the explorer names its
-//! pool workers) or taken from the OS thread name. [`write_chrome_trace`]
-//! drains every buffer into Chrome trace-event JSON (`X` complete events
-//! with microsecond timestamps, `i` instants, `M` thread-name metadata),
-//! loadable in Perfetto or `chrome://tracing`.
+//! drop counter) tagged with a small integer `tid` and a label taken from
+//! the OS thread name (`thread-{tid}` for unnamed threads).
+//! [`write_chrome_trace`] drains every buffer into Chrome trace-event JSON
+//! (`X` complete events with microsecond timestamps, `i` instants, `M`
+//! thread-name metadata), loadable in Perfetto or `chrome://tracing`.
 //!
 //! Tracing never feeds back into analysis results; enabling it must not
 //! change any canonical artifact (asserted by the suite-level determinism
@@ -147,18 +146,6 @@ fn with_local(f: impl FnOnce(&mut ThreadBuf)) {
     });
 }
 
-/// Names the current thread's trace track (overrides the OS thread name
-/// in the exported `thread_name` metadata). The explorer labels its pool
-/// workers (`explore-worker-3`) and the driver (`explore-driver`) so
-/// Perfetto timelines are readable.
-pub fn set_thread_label(label: &str) {
-    if !enabled() {
-        return;
-    }
-    let owned = label.to_string();
-    with_local(|b| b.label = owned);
-}
-
 /// An RAII span: records one complete (`X`) event from construction to
 /// drop. Construct through [`span`] / [`span_args`].
 pub struct SpanGuard {
@@ -276,7 +263,7 @@ impl<const N: usize> Drop for StageSpans<N> {
     }
 }
 
-/// Records a point-in-time (`i`) event (steal, commit, wakeup).
+/// Records a point-in-time (`i`) event (fork, commit).
 #[inline]
 pub fn instant(name: &'static str) {
     if !enabled() {
@@ -422,7 +409,6 @@ mod tests {
     #[test]
     fn spans_and_instants_round_trip_through_chrome_json() {
         enable();
-        set_thread_label("unit-test-thread");
         {
             let _outer = span("unit_outer");
             let _inner = span_args("unit_inner", || {

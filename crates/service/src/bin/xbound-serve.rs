@@ -36,6 +36,10 @@ const DEFAULT_PORT: u16 = 4517;
 
 fn main() {
     let trace_out = xbound_obs::trace::init_from_env();
+    if let Err(e) = xbound_core::check_sim_engine() {
+        xbound_obs::error!("serve", "{e}");
+        std::process::exit(2);
+    }
     let mut config = ServiceConfig {
         port: DEFAULT_PORT,
         ..ServiceConfig::default()

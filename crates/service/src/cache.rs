@@ -2,7 +2,7 @@
 //!
 //! A co-analysis result is a pure function of *(program image bytes, cell
 //! library, operating point, exploration knobs, energy-round budget)* —
-//! the scheduling knobs (`threads`, `lanes`) provably do not affect it.
+//! the batching knob (`lanes`) provably does not affect it.
 //! [`KeyMaterial`] captures exactly that function input; its FNV-1a hash
 //! addresses a capacity-bounded in-memory LRU backed by an on-disk store
 //! (one JSON file per key under the cache directory), so daemon restarts
@@ -46,9 +46,8 @@ pub struct KeyMaterial {
 impl KeyMaterial {
     /// Builds the key for analyzing `program` on `system` with `config`.
     ///
-    /// `config.threads` and `config.lanes` are deliberately excluded:
-    /// results are bit-identical at any setting, so they must not split
-    /// the cache.
+    /// `config.lanes` is deliberately excluded: results are bit-identical
+    /// at any lane width, so it must not split the cache.
     pub fn new(
         system: &UlpSystem,
         program: &Program,

@@ -21,8 +21,7 @@
 //! returns exactly the bytes the direct [`xbound_core::CoAnalysis`] path
 //! produces (canonical [`xbound_core::BoundsReport`] JSON), whether the
 //! answer was computed fresh, coalesced onto an in-flight job, or
-//! replayed from the memory or disk cache — at any `(threads, lanes)`
-//! setting. `crates/service/tests/` and the CI service smoke job assert
+//! replayed from the memory or disk cache — at any worker count. `crates/service/tests/` and the CI service smoke job assert
 //! this against `suite_summary --bounds`.
 //!
 //! ```text

@@ -14,10 +14,10 @@
 //!    worker runs the existing `CoAnalysis` pipeline.
 //!
 //! Worker count resolves through [`xbound_core::par::resolve_threads`]
-//! (`0` = auto, `XBOUND_THREADS`); each job explores single-threaded when
-//! the pool has more than one worker ("one layer of parallelism at a
-//! time", exactly like the suite drivers), which keeps results
-//! bit-identical to the direct path.
+//! (`0` = auto, `XBOUND_THREADS`); a sweep job fans its corners out
+//! serially when the pool has more than one worker ("one layer of
+//! parallelism at a time", exactly like the suite drivers). Results are
+//! bit-identical to the direct path either way.
 
 use crate::cache::{BoundCache, CacheHit, KeyMaterial};
 use std::collections::{HashMap, VecDeque};
@@ -148,40 +148,7 @@ struct Shared {
     /// Corners that reused a sweep job's shared execution tree instead
     /// of exploring again (corners − 1 per sweep job).
     sweep_tree_reuse: AtomicU64,
-    /// Work-stealing explorer telemetry accumulated across every fresh
-    /// analysis (scheduling-dependent; surfaced by `stats`, never part of
-    /// any analyze response).
-    explore_steals: AtomicU64,
-    explore_steal_failures: AtomicU64,
-    explore_idle_wakeups: AtomicU64,
-    explore_max_speculation_depth: AtomicU64,
     workers: usize,
-}
-
-impl Shared {
-    fn note_explore(&self, b: &xbound_core::BatchExploreStats) {
-        self.explore_steals.fetch_add(b.steals, Ordering::Relaxed);
-        self.explore_steal_failures
-            .fetch_add(b.steal_failures, Ordering::Relaxed);
-        self.explore_idle_wakeups
-            .fetch_add(b.idle_wakeups, Ordering::Relaxed);
-        self.explore_max_speculation_depth
-            .fetch_max(b.max_speculation_depth, Ordering::Relaxed);
-    }
-}
-
-/// Work-stealing explorer counters accumulated by a scheduler (see
-/// [`Scheduler::explore_telemetry`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExploreTelemetry {
-    /// Total successful steals across analyses.
-    pub steals: u64,
-    /// Total empty victim probes.
-    pub steal_failures: u64,
-    /// Total idle-worker wakeups.
-    pub idle_wakeups: u64,
-    /// Deepest speculation past any commit frontier.
-    pub max_speculation_depth: u64,
 }
 
 /// The analysis scheduler (see the module docs).
@@ -222,10 +189,6 @@ impl Scheduler {
             sweeps_run: AtomicU64::new(0),
             sweep_corners: AtomicU64::new(0),
             sweep_tree_reuse: AtomicU64::new(0),
-            explore_steals: AtomicU64::new(0),
-            explore_steal_failures: AtomicU64::new(0),
-            explore_idle_wakeups: AtomicU64::new(0),
-            explore_max_speculation_depth: AtomicU64::new(0),
             workers,
         });
         let handles = (0..workers)
@@ -283,21 +246,6 @@ impl Scheduler {
     /// exploring again.
     pub fn sweep_tree_reuse(&self) -> u64 {
         self.shared.sweep_tree_reuse.load(Ordering::Relaxed)
-    }
-
-    /// Work-stealing explorer telemetry accumulated across every fresh
-    /// analysis this scheduler ran (all zero on a multi-worker daemon,
-    /// where each analysis explores single-threaded).
-    pub fn explore_telemetry(&self) -> ExploreTelemetry {
-        ExploreTelemetry {
-            steals: self.shared.explore_steals.load(Ordering::Relaxed),
-            steal_failures: self.shared.explore_steal_failures.load(Ordering::Relaxed),
-            idle_wakeups: self.shared.explore_idle_wakeups.load(Ordering::Relaxed),
-            max_speculation_depth: self
-                .shared
-                .explore_max_speculation_depth
-                .load(Ordering::Relaxed),
-        }
     }
 
     /// `true` when a subtree memo is attached.
@@ -559,14 +507,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         shared.analyses_run.fetch_add(1, Ordering::Relaxed);
-        // Workers are the concurrency layer; each analysis explores
-        // single-threaded unless this is a single-worker daemon (results
-        // are bit-identical either way).
-        let explore_threads = if shared.workers > 1 { 1 } else { 0 };
-        let config = ExploreConfig {
-            threads: explore_threads,
-            ..job.config
-        };
+        let config = job.config;
         match job.kind {
             JobKind::Analyze { key, slot } => {
                 let _span =
@@ -577,10 +518,7 @@ fn worker_loop(shared: &Shared) {
                         .energy_rounds(job.energy_rounds)
                         .memo(shared.memo.clone())
                         .run(&job.program)
-                        .map(|a| {
-                            shared.note_explore(&a.stats().batch);
-                            BoundsReport::from_analysis(&a)
-                        })
+                        .map(|a| BoundsReport::from_analysis(&a))
                         .map_err(|e| e.to_string())
                 }))
                 .unwrap_or_else(|p| {
@@ -605,9 +543,12 @@ fn worker_loop(shared: &Shared) {
                 let _span = trace::span_args("sweep_job", || {
                     vec![("corners".to_string(), corners.len().to_string())]
                 });
-                // One shared exploration for every fresh corner; the
-                // corner fan-out stays serial inside a worker ("one layer
-                // of parallelism at a time", like the explore threads).
+                // One shared exploration for every fresh corner. Workers
+                // are the concurrency layer, so the corner fan-out stays
+                // serial unless this is a single-worker daemon ("one
+                // layer of parallelism at a time"; results are
+                // bit-identical either way).
+                let corner_threads = if shared.workers > 1 { 1 } else { 0 };
                 let spec = SweepSpec::new(corners.iter().map(|(_, c, _)| c.clone()).collect());
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     run_sweep(
@@ -616,7 +557,7 @@ fn worker_loop(shared: &Shared) {
                         &job.program,
                         config,
                         job.energy_rounds,
-                        explore_threads,
+                        corner_threads,
                     )
                     .map_err(|e| e.to_string())
                 }))
@@ -635,7 +576,6 @@ fn worker_loop(shared: &Shared) {
                         shared
                             .sweep_tree_reuse
                             .fetch_add(sweep.stats.tree_reuse_hits, Ordering::Relaxed);
-                        shared.note_explore(&sweep.explore.batch);
                         // `run_sweep` preserves corner order, so results
                         // zip against the keyed corners positionally.
                         for ((key, _, slot), cr) in corners.iter().zip(sweep.corners) {

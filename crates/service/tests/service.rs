@@ -271,3 +271,23 @@ fn sweep_streams_corner_stamped_bounds_that_compose_with_the_cache() {
     client.roundtrip(&protocol::op_request("shutdown"));
     server.join();
 }
+
+/// An unknown `XBOUND_SIM_ENGINE` stops the daemon at start-up with one
+/// stderr line naming the accepted values — before it binds a port, and
+/// never as a panic.
+#[test]
+fn serve_rejects_an_unknown_sim_engine_at_startup() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xbound-serve"))
+        .args(["--port", "0", "--no-disk-cache"])
+        .env("XBOUND_SIM_ENGINE", "compiled")
+        .output()
+        .expect("daemon runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty(), "no listening line");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        !stderr.contains("panicked") && stderr.contains("levelized"),
+        "{stderr}"
+    );
+}

@@ -22,14 +22,12 @@
 //! ([`Engine::force_lane`]) so the symbolic explorer can constrain a fork
 //! net in one lane while sibling lanes keep simulating their own branches.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
 use xbound_logic::{BatchFrame, Frame, LaneVal, Lv, XWord, MAX_LANES};
-use xbound_netlist::compile::CompileStats;
 use xbound_netlist::{CellKind, GateId, NetId, Netlist};
 
-use crate::compiled::CompiledExec;
 use crate::{
     read_regions, read_regions_with, write_regions, write_regions_with, BusSpec, EvalMode,
     MachineState, MemRead, MemRegion, MemWrite, SimError,
@@ -157,18 +155,9 @@ pub struct Engine<'n, L: Lanes> {
     buckets: Vec<Vec<GateId>>,
     is_rdata: Vec<bool>,
     full_dirty: bool,
-    // Compiled-backend state: the program + slot array, built lazily at the
-    // first compiled settle and rebuilt when a new force cut appears.
-    compiled: Option<CompiledExec>,
-    /// Sticky set of combinationally driven nets that have ever been
-    /// forced — the compiled program's cut set (cut slots are never
-    /// structurally shared; see `xbound_netlist::compile`). Releases keep
-    /// the cut, so repeated force/release of the same net (the explorer's
-    /// `branch_taken`) recompiles at most once.
-    force_cuts: BTreeSet<NetId>,
     /// Lifetime count of gate evaluations: dirty-queue gates processed
-    /// (event-driven), full topological sweeps (levelized), or compiled
-    /// ops executed — the denominator of the ns/gate-pass throughput
+    /// (event-driven) or full topological sweeps (levelized) — the
+    /// denominator of the ns/gate-pass throughput
     /// numbers in `BENCH_sim.json`.
     gate_evals: u64,
     /// Lane-0 view of the settled frame, refreshed by
@@ -214,8 +203,6 @@ impl<'n, L: Lanes> Engine<'n, L> {
             buckets: vec![Vec::new(); nl.comb_level_count()],
             is_rdata: vec![false; nl.net_count()],
             full_dirty: true,
-            compiled: None,
-            force_cuts: BTreeSet::new(),
             gate_evals: 0,
             scalar_frame: Frame::new(nl.net_count()),
             change_log: Vec::new(),
@@ -355,9 +342,6 @@ impl<'n, L: Lanes> Engine<'n, L> {
         }
         self.bus = Some(bus);
         self.mems = vec![mems; self.lanes];
-        // The compiled program's read-data cone depends on the bus's rdata
-        // set; rebuild lazily at the next compiled settle.
-        self.compiled = None;
         self.evaled = false;
         Ok(())
     }
@@ -472,15 +456,6 @@ impl<'n, L: Lanes> Engine<'n, L> {
             if let Some(g) = self.nl.driver_of(net) {
                 self.mark_gate_dirty(g);
             }
-        }
-        // A force on a combinationally driven net breaks the compiled
-        // program's structural sharing for that net: it becomes a *cut*
-        // (unshared slot + per-level force fixup), which requires a
-        // recompile. The cut set is sticky across releases and tracked in
-        // every mode, so a program built after a mode switch sees every
-        // net that was ever forced.
-        if comb_driven && self.force_cuts.insert(net) {
-            self.compiled = None;
         }
         self.evaled = false;
     }
@@ -686,7 +661,7 @@ impl<'n, L: Lanes> Engine<'n, L> {
     }
 
     fn settle_bus(&mut self, bus: &BusSpec) -> Result<(), SimError> {
-        // The full-evaluation engines store read data directly (no dirty
+        // The levelized oracle stores read data directly (no dirty
         // propagation — the next pass re-evaluates everything anyway).
         let direct = self.mode != EvalMode::EventDriven;
         let mut last_addrs = self.lane_addrs(bus);
@@ -695,7 +670,6 @@ impl<'n, L: Lanes> Engine<'n, L> {
             match self.mode {
                 EvalMode::EventDriven => self.process_dirty(),
                 EvalMode::Levelized => self.eval_comb_once(),
-                EvalMode::Compiled => self.run_compiled_rdata_cone(),
             }
             let addrs_now = self.lane_addrs(bus);
             if addrs_now == last_addrs {
@@ -773,85 +747,10 @@ impl<'n, L: Lanes> Engine<'n, L> {
         Ok(())
     }
 
-    // --- compiled backend -------------------------------------------------
-
-    /// One full pass of the compiled program: (re)build if needed, gather
-    /// leaf slots from the frame, execute the op runs, scatter every
-    /// combinationally driven net back through the levelized store.
-    fn run_compiled(&mut self) {
-        if self.compiled.is_none() {
-            let rdata: Vec<NetId> = self
-                .is_rdata
-                .iter()
-                .enumerate()
-                .filter(|&(_, &r)| r)
-                .map(|(i, _)| NetId(i as u32))
-                .collect();
-            self.compiled = Some(CompiledExec::new(self.nl, &self.force_cuts, &rdata));
-        }
-        // Take the executor out so its borrows don't alias `self`.
-        let mut exec = self.compiled.take().expect("just built");
-        exec.gather(&self.frame);
-        exec.execute(self.frame.lane_mask(), &self.forces);
-        self.gate_evals += exec.op_count();
-        for &(net, slot) in exec.scatter() {
-            self.store_net_levelized(net.index(), exec.slot(slot));
-        }
-        self.compiled = Some(exec);
-    }
-
-    /// Re-settles only the read-data cone: a bus settle iteration rewrote
-    /// the read-data nets, which is the only frame change since the last
-    /// full compiled pass, so every slot outside the cone is still valid.
-    fn run_compiled_rdata_cone(&mut self) {
-        if self.compiled.is_none() {
-            // Unreachable in practice (bus settling follows a full pass),
-            // but a full pass is always a sound fallback.
-            self.run_compiled();
-            return;
-        }
-        let mut exec = self.compiled.take().expect("checked above");
-        exec.execute_rdata_cone(&self.frame, self.frame.lane_mask(), &self.forces);
-        self.gate_evals += exec.cone_op_count();
-        for &(net, slot) in exec.cone_scatter() {
-            self.store_net_levelized(net.index(), exec.slot(slot));
-        }
-        self.compiled = Some(exec);
-    }
-
-    fn eval_compiled(&mut self) -> Result<(), SimError> {
-        // Identical seeding to the levelized oracle: all inputs (including
-        // bus read data) restart from their drives, and forces on
-        // flip-flop outputs take effect immediately. Leaf forces therefore
-        // flow in through the frame gather.
-        self.apply_inputs_levelized();
-        for &g in self.nl.sequential_gates() {
-            let out = self.nl.gate(g).output();
-            let f = self.forces[out.index()];
-            if f.is_set() {
-                let v = f.apply(self.frame.get(out.index()));
-                self.store_net_levelized(out.index(), v);
-            }
-        }
-        self.run_compiled();
-        if let Some(bus) = self.bus.take() {
-            let r = self.settle_bus(&bus);
-            self.bus = Some(bus);
-            r?;
-        }
-        Ok(())
-    }
-
-    /// Compile statistics of the compiled backend's program, if one has
-    /// been built (i.e. after the first settle in [`EvalMode::Compiled`]).
-    pub fn compiled_stats(&self) -> Option<CompileStats> {
-        self.compiled.as_ref().map(|c| c.stats())
-    }
-
     /// Lifetime count of gate evaluations performed by this engine: gates
     /// popped off the dirty queue (event-driven), gates of full
-    /// topological sweeps (levelized), or compiled ops executed — the
-    /// denominator of ns/gate-pass throughput comparisons.
+    /// topological sweeps (levelized) — the denominator of ns/gate-pass
+    /// throughput comparisons.
     pub fn gate_evals(&self) -> u64 {
         self.gate_evals
     }
@@ -872,7 +771,6 @@ impl<'n, L: Lanes> Engine<'n, L> {
         match self.mode {
             EvalMode::EventDriven => self.eval_event()?,
             EvalMode::Levelized => self.eval_levelized()?,
-            EvalMode::Compiled => self.eval_compiled()?,
         }
         self.evaled = true;
         Ok(())

@@ -51,7 +51,6 @@
 
 #![warn(missing_docs)]
 
-mod compiled;
 pub mod engine;
 
 pub use engine::{BatchMachineState, Engine, Lanes, Scalar, Wide};
@@ -94,18 +93,11 @@ pub enum EvalMode {
     /// Retained as the differential-testing oracle; select globally with
     /// `XBOUND_SIM_ENGINE=levelized`.
     Levelized,
-    /// Compiled backend: the netlist is levelized once, structurally
-    /// identical logic cones are hash-consed into shared value classes, and
-    /// the result is a flat SoA bytecode program of word-wise
-    /// [`xbound_logic::LaneVal`] ops executed by a tight per-kind run loop —
-    /// no per-gate dispatch, no fanout-index chasing. Select globally with
-    /// `XBOUND_SIM_ENGINE=compiled`.
-    Compiled,
 }
 
 impl EvalMode {
     /// Every value `XBOUND_SIM_ENGINE` accepts, for error messages.
-    pub const ACCEPTED: &'static str = "event, event-driven, levelized, oracle, compiled";
+    pub const ACCEPTED: &'static str = "event, event-driven, levelized, oracle";
 
     /// Parses an `XBOUND_SIM_ENGINE` value (case-insensitive).
     ///
@@ -118,8 +110,6 @@ impl EvalMode {
             Ok(EvalMode::EventDriven)
         } else if s.eq_ignore_ascii_case("levelized") || s.eq_ignore_ascii_case("oracle") {
             Ok(EvalMode::Levelized)
-        } else if s.eq_ignore_ascii_case("compiled") {
-            Ok(EvalMode::Compiled)
         } else {
             Err(format!(
                 "unknown XBOUND_SIM_ENGINE value {s:?}; accepted values: {}",
@@ -134,7 +124,6 @@ impl EvalMode {
         match self {
             EvalMode::EventDriven => "event-driven",
             EvalMode::Levelized => "levelized",
-            EvalMode::Compiled => "compiled",
         }
     }
 
@@ -143,14 +132,21 @@ impl EvalMode {
     ///
     /// # Panics
     ///
-    /// Panics on an unrecognized value (see [`EvalMode::parse`]).
+    /// Panics on an unrecognized value (see [`EvalMode::parse`]); drivers
+    /// call [`EvalMode::try_from_env`] at start-up to reject it cleanly.
     pub fn from_env() -> EvalMode {
+        EvalMode::try_from_env().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`EvalMode::from_env`] without the panic.
+    ///
+    /// # Errors
+    ///
+    /// An unrecognized `XBOUND_SIM_ENGINE` value (see [`EvalMode::parse`]).
+    pub fn try_from_env() -> Result<EvalMode, String> {
         match std::env::var("XBOUND_SIM_ENGINE") {
-            Ok(v) => match EvalMode::parse(&v) {
-                Ok(mode) => mode,
-                Err(e) => panic!("{e}"),
-            },
-            Err(_) => EvalMode::EventDriven,
+            Ok(v) => EvalMode::parse(&v),
+            Err(_) => Ok(EvalMode::EventDriven),
         }
     }
 }
@@ -593,8 +589,6 @@ mod tests {
             ("levelized", EvalMode::Levelized),
             ("oracle", EvalMode::Levelized),
             ("Oracle", EvalMode::Levelized),
-            ("compiled", EvalMode::Compiled),
-            ("COMPILED", EvalMode::Compiled),
         ] {
             assert_eq!(EvalMode::parse(s), Ok(want), "spelling {s:?}");
         }
@@ -602,7 +596,7 @@ mod tests {
 
     #[test]
     fn eval_mode_parse_rejects_unknown_values_listing_accepted() {
-        for bad in ["", "compile", "evnt", "levelised", "fast", "0"] {
+        for bad in ["", "compiled", "evnt", "levelised", "fast", "0"] {
             let err = EvalMode::parse(bad).expect_err("must be a hard error");
             assert!(err.contains(&format!("{bad:?}")), "names the value: {err}");
             assert!(

@@ -1,8 +1,7 @@
 //! Differential test: the event-driven incremental engine against the
-//! full-levelized oracle and the compiled (levelize + cone-dedup
-//! bytecode) backend.
+//! full-levelized oracle.
 //!
-//! All engines must settle every cycle to the *same* frame: combinational
+//! Both engines must settle every cycle to the *same* frame: combinational
 //! values are a pure function of flip-flop, input, and forced values on an
 //! acyclic netlist, so the engines may only differ in how much work they
 //! do. Random designs are driven with random sequences of input drives,
@@ -134,7 +133,7 @@ fn apply_op<F: FnMut() -> u64>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(48)))]
 
-    /// Event-driven, levelized, and compiled evaluation produce identical
+    /// Event-driven and levelized evaluation produce identical
     /// frames at every cycle of a random drive/force/restore sequence.
     #[test]
     fn engines_agree_on_random_designs(
@@ -148,8 +147,6 @@ proptest! {
         let mut oracle = Simulator::new(&nl);
         oracle.set_eval_mode(EvalMode::Levelized);
         prop_assert_eq!(oracle.eval_mode(), EvalMode::Levelized);
-        let mut compiled = Simulator::new(&nl);
-        compiled.set_eval_mode(EvalMode::Compiled);
 
         let mut rng = seed ^ 0x9E3779B97F4A7C15 | 1;
         let mut next = move || {
@@ -161,27 +158,19 @@ proptest! {
         let mut snapshots = Vec::new();
         for step in 0..steps {
             {
-                let mut sims = [&mut event, &mut oracle, &mut compiled];
+                let mut sims = [&mut event, &mut oracle];
                 apply_op(&mut next, &nl, &mut sims, &mut snapshots);
             }
             let fe = event.eval().expect("no bus: settles").clone();
             let fo = oracle.eval().expect("no bus: settles").clone();
-            let fc = compiled.eval().expect("no bus: settles").clone();
             prop_assert_eq!(
                 &fe, &fo,
                 "event vs levelized diverge at step {} (diff nets: {:?})",
                 step, fe.diff_indices(&fo)
             );
-            prop_assert_eq!(
-                &fe, &fc,
-                "event vs compiled diverge at step {} (diff nets: {:?})",
-                step, fe.diff_indices(&fc)
-            );
             event.commit();
             oracle.commit();
-            compiled.commit();
             prop_assert_eq!(event.machine_state(), oracle.machine_state());
-            prop_assert_eq!(event.machine_state(), compiled.machine_state());
         }
     }
 
@@ -232,9 +221,6 @@ proptest! {
         let mut oracle = Simulator::new(&nl);
         oracle.set_eval_mode(EvalMode::Levelized);
         oracle.attach_bus(bus(), mems()).expect("bus ok");
-        let mut compiled = Simulator::new(&nl);
-        compiled.set_eval_mode(EvalMode::Compiled);
-        compiled.attach_bus(bus(), mems()).expect("bus ok");
 
         let mut rng = seed | 1;
         let mut next = move || {
@@ -258,18 +244,15 @@ proptest! {
                 };
                 event.drive_input(n, v);
                 oracle.drive_input(n, v);
-                compiled.drive_input(n, v);
                 let d = nl.find_net(&format!("data_in[{i}]")).expect("net");
                 let dv = lv_of(next());
                 event.drive_input(d, dv);
                 oracle.drive_input(d, dv);
-                compiled.drive_input(d, dv);
             }
             let wen = lv_of(next());
             let wn = nl.find_net("wen_in").expect("net");
             event.drive_input(wn, wen);
             oracle.drive_input(wn, wen);
-            compiled.drive_input(wn, wen);
             if next() % 5 == 0 {
                 snapshots.push(event.machine_state());
             }
@@ -277,26 +260,17 @@ proptest! {
                 let s = &snapshots[(next() as usize) % snapshots.len()];
                 event.set_machine_state(s);
                 oracle.set_machine_state(s);
-                compiled.set_machine_state(s);
             }
             let fe = event.eval().expect("bus settles").clone();
             let fo = oracle.eval().expect("bus settles").clone();
-            let fc = compiled.eval().expect("bus settles").clone();
             prop_assert_eq!(
                 &fe, &fo,
                 "event vs levelized diverge at step {} (diff nets: {:?})",
                 step, fe.diff_indices(&fo)
             );
-            prop_assert_eq!(
-                &fe, &fc,
-                "event vs compiled diverge at step {} (diff nets: {:?})",
-                step, fe.diff_indices(&fc)
-            );
             event.commit();
             oracle.commit();
-            compiled.commit();
             prop_assert_eq!(event.machine_state(), oracle.machine_state());
-            prop_assert_eq!(event.machine_state(), compiled.machine_state());
         }
     }
 }
@@ -378,7 +352,7 @@ fn apply_batch_op<F: FnMut() -> u64>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
-    /// The three engines also agree on the batched (wide) instantiation at
+    /// The two engines also agree on the batched (wide) instantiation at
     /// lane widths 1, 8, and 64, under per-lane drives, partial-lane
     /// forces, and cross-lane snapshot restores.
     #[test]
@@ -393,8 +367,6 @@ proptest! {
             event.set_eval_mode(EvalMode::EventDriven);
             let mut oracle = BatchSimulator::new(&nl, lanes);
             oracle.set_eval_mode(EvalMode::Levelized);
-            let mut compiled = BatchSimulator::new(&nl, lanes);
-            compiled.set_eval_mode(EvalMode::Compiled);
 
             let mut rng = seed ^ 0xD1B54A32D192ED03 | 1;
             let mut next = move || {
@@ -406,29 +378,22 @@ proptest! {
             let mut snapshots = Vec::new();
             for step in 0..steps {
                 {
-                    let mut sims = [&mut event, &mut oracle, &mut compiled];
+                    let mut sims = [&mut event, &mut oracle];
                     apply_batch_op(&mut next, &nl, lanes, &mut sims, &mut snapshots);
                 }
                 let fe = event.eval().expect("no bus: settles").clone();
                 let fo = oracle.eval().expect("no bus: settles").clone();
-                let fc = compiled.eval().expect("no bus: settles").clone();
                 prop_assert_eq!(
                     &fe, &fo,
                     "event vs levelized diverge at step {} ({} lanes)",
                     step, lanes
                 );
-                prop_assert_eq!(
-                    &fe, &fc,
-                    "event vs compiled diverge at step {} ({} lanes)",
-                    step, lanes
-                );
                 event.commit();
                 oracle.commit();
-                compiled.commit();
                 for lane in 0..lanes {
                     prop_assert_eq!(
                         event.lane_machine_state(lane),
-                        compiled.lane_machine_state(lane),
+                        oracle.lane_machine_state(lane),
                         "machine state diverges in lane {} at step {}",
                         lane, step
                     );
